@@ -424,7 +424,7 @@ func progressLine(spec *traffic.Spec, o *obs.Observer, total int) func(int) {
 	}
 }
 
-// printServe writes the human summary: the legacy line, a resilience line
+// printServe writes the human summary: the totals line, a resilience line
 // when that layer did anything, and the per-class table.
 func printServe(specPath string, res *traffic.ServeResult) {
 	fmt.Printf("serve: %s workers=%d elapsed=%.2fs generated=%d completed=%d faults=%d shed=%d misses=%d (%.0f req/sec, cache hit %.3f)\n",

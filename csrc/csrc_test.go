@@ -359,6 +359,9 @@ func TestCompileErrors(t *testing.T) {
 		{"for shadow", `func main() { var i = 1; for (i = 0; i < 3; i += 1) {} }`, "shadows"},
 		{"mismatched step", `func main() { for (i = 0; i < 3; i -= 1) {} }`, "direction"},
 		{"missing main", `func helper() { return 0; }`, "entry"},
+		{"zero-length local array", `func A(){var A00=calloc(0);var b=local int[0]}`, "out of range"},
+		{"oversized global array", `global long g[9223372036854775807]; func main() { return 0; }`, "out of range"},
+		{"unterminated skipped block", `func A(){var A00=local char;if('0'){`, "unterminated"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -202,16 +202,31 @@ func (p *parser) parseType() (*prog.Type, error) {
 		t = st
 	}
 	if p.accept(tokPunct, "[") {
-		n, err := p.expect(tokInt, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "]"); err != nil {
-			return nil, err
-		}
-		t = prog.ArrayOf(t, n.val)
+		return p.arraySuffix(t)
 	}
 	return t, nil
+}
+
+// maxArrayBytes bounds one array type's size. Simulated objects are far
+// smaller; the bound only keeps size arithmetic from overflowing.
+const maxArrayBytes = 1 << 32
+
+// arraySuffix parses the `n]` of an array suffix whose `[` was just
+// accepted and returns t as an n-element array. Hostile sources get an
+// error for a length that is not positive or too large, instead of a
+// prog.ArrayOf panic or an overflowing size.
+func (p *parser) arraySuffix(t *prog.Type) (*prog.Type, error) {
+	n, err := p.expect(tokInt, "")
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokPunct, "]"); err != nil {
+		return nil, err
+	}
+	if n.val <= 0 || n.val > maxArrayBytes/max(t.Size(), 1) {
+		return nil, fmt.Errorf("csrc:%d: array length %d out of range", n.line, n.val)
+	}
+	return prog.ArrayOf(t, n.val), nil
 }
 
 // structDecl parses `struct Name { fields }`.
@@ -239,14 +254,9 @@ func (p *parser) structDecl() error {
 		}
 		// Allow the array suffix after the field name too (C style).
 		if p.accept(tokPunct, "[") {
-			n, err := p.expect(tokInt, "")
-			if err != nil {
+			if ft, err = p.arraySuffix(ft); err != nil {
 				return err
 			}
-			if _, err := p.expect(tokPunct, "]"); err != nil {
-				return err
-			}
-			ft = prog.ArrayOf(ft, n.val)
 		}
 		if _, err := p.expect(tokPunct, ";"); err != nil {
 			return err
@@ -275,15 +285,8 @@ func (p *parser) globalDecl() error {
 		if p.accept(tokPunct, "]") {
 			// size from the string initializer below
 			t = nil
-		} else {
-			n, err := p.expect(tokInt, "")
-			if err != nil {
-				return err
-			}
-			if _, err := p.expect(tokPunct, "]"); err != nil {
-				return err
-			}
-			t = prog.ArrayOf(t, n.val)
+		} else if t, err = p.arraySuffix(t); err != nil {
+			return err
 		}
 	}
 	if p.accept(tokPunct, "=") {

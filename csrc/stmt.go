@@ -127,10 +127,11 @@ func (p *parser) skipBlock() error {
 	}
 	depth := 1
 	for depth > 0 {
-		t := p.next()
-		switch {
-		case t.kind == tokEOF:
+		// Test before consuming: EOF is the last token, and errf reads it.
+		if p.cur().kind == tokEOF {
 			return p.errf("unterminated block")
+		}
+		switch t := p.next(); {
 		case t.kind == tokPunct && t.text == "{":
 			depth++
 		case t.kind == tokPunct && t.text == "}":
@@ -187,10 +188,11 @@ func (p *parser) whileStmt() error {
 func (p *parser) skipParenExpr() error {
 	depth := 1
 	for depth > 0 {
-		t := p.next()
-		switch {
-		case t.kind == tokEOF:
+		// Test before consuming: EOF is the last token, and errf reads it.
+		if p.cur().kind == tokEOF {
 			return p.errf("unterminated ( )")
+		}
+		switch t := p.next(); {
 		case t.kind == tokPunct && t.text == "(":
 			depth++
 		case t.kind == tokPunct && t.text == ")":

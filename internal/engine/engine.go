@@ -415,7 +415,7 @@ type Machine struct {
 	faulted  bool                  // a panic unwound through this machine
 	released bool
 
-	lane    int  // tracer lane held from Run until Release
+	lane    int // tracer lane held from Run until Release
 	hasLane bool
 }
 
@@ -445,7 +445,7 @@ func (e *Engine) planFor(p *prog.Program) faultinject.Plan {
 // sanitizer runtime. Call Release when done with it so pooled resources
 // return to the pool; forgetting Release only costs pool misses.
 func (e *Engine) NewMachine(p *prog.Program) (*Machine, error) {
-	return e.newMachine(p, e.opts.FreshRuntime)
+	return e.newMachine(p, machineConfig{fresh: e.opts.FreshRuntime})
 }
 
 // machineConfig is the full construction policy for one machine. The zero
@@ -463,15 +463,8 @@ type machineConfig struct {
 	bypassCache bool
 }
 
-// newMachine builds a machine, on fresh (never-pooled) runtime and resources
-// when fresh is set, on pooled ones otherwise. The fault-retry path forces
-// fresh to rule out pool-state corruption.
-func (e *Engine) newMachine(p *prog.Program, fresh bool) (*Machine, error) {
-	return e.newMachineCfg(p, machineConfig{fresh: fresh})
-}
-
-// newMachineCfg builds a machine under an explicit construction policy.
-func (e *Engine) newMachineCfg(p *prog.Program, mc machineConfig) (*Machine, error) {
+// newMachine builds a machine under an explicit construction policy.
+func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error) {
 	fresh := mc.fresh
 	var ip *prog.Program
 	if mc.bypassCache {
@@ -684,6 +677,40 @@ func (m *Machine) Release() {
 	m.eng.releaseSanitizer(m.san)
 }
 
+// execute is the one execution path under Run and RunPlanned: build a
+// machine under mc, feed it, run it, release it. tr, when set, receives
+// instrument/run/reset sub-spans. recycled reports whether the machine's
+// runtime or resources came from a pool.
+func (e *Engine) execute(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, inputs [][]byte) (res *interp.Result, recycled bool, err error) {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	m, err := e.newMachine(p, mc)
+	if tr != nil {
+		// Machine construction is where instrumentation happens (cached or
+		// fresh), so the span covers the whole lookup-or-instrument phase.
+		tr.Span("instrument", t0, time.Since(t0))
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	m.Feed(inputs...)
+	if tr != nil {
+		t0 = time.Now()
+	}
+	res = m.Run()
+	if tr != nil {
+		tr.Span("run", t0, time.Since(t0))
+		t0 = time.Now()
+	}
+	m.Release()
+	if tr != nil {
+		tr.Span("reset", t0, time.Since(t0))
+	}
+	return res, m.recycled, nil
+}
+
 // Run is the one-shot convenience: instrument (cached), execute on pooled
 // resources, release, return the result.
 //
@@ -696,26 +723,19 @@ func (m *Machine) Release() {
 // Stats. Budget faults skip the retry — their triggers cannot depend on pool
 // state.
 func (e *Engine) Run(p *prog.Program, inputs ...[]byte) (*interp.Result, error) {
-	m, err := e.NewMachine(p)
+	res, recycled, err := e.execute(p, machineConfig{fresh: e.opts.FreshRuntime}, nil, inputs)
 	if err != nil {
 		return nil, err
 	}
-	m.Feed(inputs...)
-	res := m.Run()
-	recycled := m.recycled
-	m.Release()
 	fo := AsFault(res.Err)
 	if fo == nil || fo.Class != FaultPanic || !recycled {
 		return res, nil
 	}
 	e.faultRetries.Add(1)
-	fm, err := e.newMachine(p, true)
+	res2, _, err := e.execute(p, machineConfig{fresh: true}, nil, inputs)
 	if err != nil {
 		return res, nil // cannot retry; keep the unattributed fault
 	}
-	fm.Feed(inputs...)
-	res2 := fm.Run()
-	fm.Release()
 	if fo2 := AsFault(res2.Err); fo2 != nil {
 		// classifyFault already marked a reproduced panic deterministic
 		// (the retry machine is never recycled).
@@ -748,38 +768,12 @@ type PlannedRun struct {
 // policy themselves, and a retry under the same plan would just reproduce
 // the injection. Panicked machines are still dropped from the pools.
 func (e *Engine) RunPlanned(p *prog.Program, pr PlannedRun, inputs ...[]byte) (*interp.Result, error) {
-	tr := pr.Trace
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	m, err := e.newMachineCfg(p, machineConfig{
+	res, _, err := e.execute(p, machineConfig{
 		fresh:       e.opts.FreshRuntime,
 		plan:        &pr.Plan,
 		bypassCache: pr.BypassCache,
-	})
-	if tr != nil {
-		// Machine construction is where instrumentation happens (cached or
-		// fresh), so the span covers the whole lookup-or-instrument phase.
-		tr.Span("instrument", t0, time.Since(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.Feed(inputs...)
-	if tr != nil {
-		t0 = time.Now()
-	}
-	res := m.Run()
-	if tr != nil {
-		tr.Span("run", t0, time.Since(t0))
-		t0 = time.Now()
-	}
-	m.Release()
-	if tr != nil {
-		tr.Span("reset", t0, time.Since(t0))
-	}
-	return res, nil
+	}, pr.Trace, inputs)
+	return res, err
 }
 
 // ForEach runs fn(0..n-1) across the engine's worker pool. All items run

@@ -45,11 +45,11 @@ type TraceRecord struct {
 	Index   uint64 `json:"index"`
 	// StartUS is the trace start relative to the recorder epoch. Wall-clock
 	// only — not part of any determinism contract.
-	StartUS      int64        `json:"start_us"`
-	Outcome      string       `json:"outcome"`
-	Attempts     int          `json:"attempts,omitempty"`
-	Retried      bool         `json:"retried,omitempty"`
-	DeadlineMiss bool         `json:"deadline_miss,omitempty"`
+	StartUS      int64  `json:"start_us"`
+	Outcome      string `json:"outcome"`
+	Attempts     int    `json:"attempts,omitempty"`
+	Retried      bool   `json:"retried,omitempty"`
+	DeadlineMiss bool   `json:"deadline_miss,omitempty"`
 	// Sampled marks a healthy trace kept by the 1-in-N sample rather than
 	// by the always-keep interest rules.
 	Sampled bool         `json:"sampled,omitempty"`
@@ -252,16 +252,6 @@ func (f *FlightRecorder) WriteJSONLines(w io.Writer) error {
 // format (chrome://tracing, Perfetto). Each class renders as one tid row;
 // timed events become complete ("X") slices, instants become "i" marks.
 func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
-	type chromeEvent struct {
-		Name  string         `json:"name"`
-		Phase string         `json:"ph"`
-		TS    int64          `json:"ts"`
-		Dur   int64          `json:"dur,omitempty"`
-		PID   int            `json:"pid"`
-		TID   int            `json:"tid"`
-		Scope string         `json:"s,omitempty"`
-		Args  map[string]any `json:"args,omitempty"`
-	}
 	tids := map[string]int{}
 	var events []chromeEvent
 	for _, r := range f.Records() {
@@ -274,25 +264,20 @@ func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 		for _, ev := range r.Events {
 			ce := chromeEvent{
 				Name: ev.Kind,
-				TS:   r.StartUS + ev.AtUS,
-				PID:  1,
-				TID:  tid,
+				Ts:   r.StartUS + ev.AtUS,
+				Pid:  1,
+				Tid:  tid,
 				Args: args,
 			}
 			if ev.DurUS > 0 {
-				ce.Phase, ce.Dur = "X", ev.DurUS
+				ce.Ph, ce.Dur = "X", ev.DurUS
 			} else {
-				ce.Phase, ce.Scope = "i", "t"
+				ce.Ph, ce.Scope = "i", "t"
 			}
 			events = append(events, ce)
 		}
 	}
-	data, err := json.Marshal(map[string]any{"traceEvents": events})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
+	return writeChromeTrace(w, events)
 }
 
 // Export captures the recorder's full state for the campaign checkpoint.

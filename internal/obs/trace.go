@@ -93,23 +93,41 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// traceEvent is the Chrome trace_event JSON shape for a complete event.
-type traceEvent struct {
-	Name string `json:"name"`
-	Ph   string `json:"ph"`
-	Ts   int64  `json:"ts"`  // microseconds relative to the tracer epoch
-	Dur  int64  `json:"dur"` // microseconds
-	Pid  int    `json:"pid"`
-	Tid  int    `json:"tid"`
+// chromeEvent is one Chrome trace_event record: a complete event
+// ("ph":"X", with dur) or an instant ("ph":"i", with scope s, where
+// viewers ignore dur).
+type chromeEvent struct {
+	Name  string         `json:"name"`
+	Ph    string         `json:"ph"`
+	Ts    int64          `json:"ts"`  // microseconds
+	Dur   int64          `json:"dur"` // microseconds
+	Pid   int            `json:"pid"`
+	Tid   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
-// WriteJSON writes the recorded spans in Chrome's trace_event object format
+// writeChromeTrace writes events in Chrome's trace_event object format
 // ({"traceEvents":[...]}), loadable in chrome://tracing and Perfetto.
+func writeChromeTrace(w io.Writer, events []chromeEvent) error {
+	if events == nil {
+		events = []chromeEvent{}
+	}
+	data, err := json.Marshal(map[string]any{"traceEvents": events})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
+}
+
+// WriteJSON writes the recorded spans as Chrome trace_event complete
+// events, timestamped relative to the tracer epoch, one tid per lane.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	t.mu.Lock()
-	events := make([]traceEvent, 0, len(t.spans))
+	events := make([]chromeEvent, 0, len(t.spans))
 	for _, s := range t.spans {
-		events = append(events, traceEvent{
+		events = append(events, chromeEvent{
 			Name: s.Name,
 			Ph:   "X",
 			Ts:   s.Start.Sub(t.epoch).Microseconds(),
@@ -119,10 +137,5 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		})
 	}
 	t.mu.Unlock()
-	data, err := json.Marshal(map[string]any{"traceEvents": events})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
+	return writeChromeTrace(w, events)
 }

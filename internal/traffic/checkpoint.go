@@ -35,34 +35,18 @@ type ServeCheckpoint struct {
 	Flight *obs.FlightState `json:"flight,omitempty"`
 }
 
-// ClassCheckpoint is one class's share of the snapshot.
+// ClassCheckpoint is one class's share of the snapshot. Counters holds the
+// class's full accounting; on restore the breaker and ladder totals in it
+// are informational, since Breaker and Ladder carry those counts exactly.
 type ClassCheckpoint struct {
 	ID       string             `json:"id"`
-	Counters ClassCounterState  `json:"counters"`
+	Counters Counters           `json:"counters"`
 	Latency  obs.HistogramState `json:"latency"`
 	Breaker  *BreakerState      `json:"breaker,omitempty"`
 	Ladder   *LadderState       `json:"ladder,omitempty"`
 	// Chain is the class's chaos accounting chain (running SHA-256 state),
 	// present only in chaos campaigns.
 	Chain []byte `json:"chain,omitempty"`
-}
-
-// ClassCounterState is the serialized form of classCounters.
-type ClassCounterState struct {
-	Generated      int64 `json:"generated"`
-	Admitted       int64 `json:"admitted"`
-	Shed           int64 `json:"shed"`
-	ShedBucket     int64 `json:"shed_bucket"`
-	ShedDelay      int64 `json:"shed_delay"`
-	Completed      int64 `json:"completed"`
-	Good           int64 `json:"good"`
-	Faults         int64 `json:"faults"`
-	Detected       int64 `json:"detected"`
-	DeadlineMisses int64 `json:"deadline_misses"`
-	Abandoned      int64 `json:"abandoned"`
-	Retries        int64 `json:"retries"`
-	RetrySuccesses int64 `json:"retry_successes"`
-	ChaosInjected  int64 `json:"chaos_injected"`
 }
 
 // Fingerprint is a stable identity for the spec's content: the hex SHA-256
@@ -96,24 +80,9 @@ func (s *server) capture(stream *Stream) (*ServeCheckpoint, error) {
 		cc := s.counters[i]
 		cls := s.classes[i]
 		c := ClassCheckpoint{
-			ID: s.spec.Clients[i].ID,
-			Counters: ClassCounterState{
-				Generated:      cc.generated.Load(),
-				Admitted:       cc.admitted.Load(),
-				Shed:           cc.shed.Load(),
-				ShedBucket:     cc.shedBucket.Load(),
-				ShedDelay:      cc.shedDelay.Load(),
-				Completed:      cc.completed.Load(),
-				Good:           cc.good.Load(),
-				Faults:         cc.faults.Load(),
-				Detected:       cc.detected.Load(),
-				DeadlineMisses: cc.deadlineMisses.Load(),
-				Abandoned:      cc.abandoned.Load(),
-				Retries:        cc.retries.Load(),
-				RetrySuccesses: cc.retrySuccesses.Load(),
-				ChaosInjected:  cc.chaosInjected.Load(),
-			},
-			Latency: cc.lat.Export(),
+			ID:       s.spec.Clients[i].ID,
+			Counters: s.classTotals(i),
+			Latency:  cc.lat.Export(),
 		}
 		if cls.breaker != nil {
 			b := cls.breaker.export()
@@ -168,21 +137,7 @@ func (s *server) restore(stream *Stream, ck *ServeCheckpoint) error {
 		}
 		cc := s.counters[i]
 		cls := s.classes[i]
-		n := &c.Counters
-		cc.generated.Store(n.Generated)
-		cc.admitted.Store(n.Admitted)
-		cc.shed.Store(n.Shed)
-		cc.shedBucket.Store(n.ShedBucket)
-		cc.shedDelay.Store(n.ShedDelay)
-		cc.completed.Store(n.Completed)
-		cc.good.Store(n.Good)
-		cc.faults.Store(n.Faults)
-		cc.detected.Store(n.Detected)
-		cc.deadlineMisses.Store(n.DeadlineMisses)
-		cc.abandoned.Store(n.Abandoned)
-		cc.retries.Store(n.Retries)
-		cc.retrySuccesses.Store(n.RetrySuccesses)
-		cc.chaosInjected.Store(n.ChaosInjected)
+		cc.restore(c.Counters)
 		if err := cc.lat.Import(c.Latency); err != nil {
 			return fmt.Errorf("traffic: resume: class %q: %w", c.ID, err)
 		}
@@ -210,7 +165,7 @@ func (s *server) restore(stream *Stream, ck *ServeCheckpoint) error {
 				return fmt.Errorf("traffic: resume: class %q: %w", c.ID, err)
 			}
 		}
-		admitted += n.Admitted
+		admitted += c.Counters.Admitted
 	}
 	if (ck.Flight != nil) != (s.rec != nil) {
 		return fmt.Errorf("traffic: resume: flight state %v in checkpoint, recorder armed %v now", ck.Flight != nil, s.rec != nil)

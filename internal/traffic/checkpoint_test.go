@@ -185,3 +185,39 @@ func TestServeCheckpointWriteFailureIsFatal(t *testing.T) {
 		t.Fatal("unwritable checkpoint path must fail the campaign")
 	}
 }
+
+// TestServeResumeCommittedCheckpoint resumes a snapshot written by an
+// earlier build of this package (testdata/serve-chaos.ckpt: the serveSpec
+// chaos campaign, seed 9, 700 requests, cut at 200), so a change to the
+// checkpoint JSON that old snapshots no longer load into shows up here.
+// The resumed campaign must match an uninterrupted one in both digests and
+// in every request-counted total.
+func TestServeResumeCommittedCheckpoint(t *testing.T) {
+	spec := mustParse(t, serveSpec)
+	cfg := ServeConfig{Spec: spec, Workers: 2, MaxRequests: 700, ChaosSeed: 9}
+	ref, err := Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = loadServeCheckpoint(t, filepath.Join("testdata", "serve-chaos.ckpt"))
+	if cfg.Resume.Classes[1].Counters.Retries == 0 {
+		t.Fatal("committed checkpoint lost its batch retries: counter JSON tags moved")
+	}
+	res, err := Serve(cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res.StreamDigest != ref.StreamDigest || res.ChaosDigest != ref.ChaosDigest {
+		t.Fatalf("digests after resume %s/%s, uninterrupted %s/%s",
+			res.StreamDigest, res.ChaosDigest, ref.StreamDigest, ref.ChaosDigest)
+	}
+	// Good and DeadlineMisses follow the wall clock; the rest is a pure
+	// function of (spec, seed, chaos seed).
+	counted := func(c Counters) Counters {
+		c.Good, c.DeadlineMisses = 0, 0
+		return c
+	}
+	if got, want := counted(res.Counters), counted(ref.Counters); got != want {
+		t.Fatalf("resumed totals %+v, uninterrupted %+v", got, want)
+	}
+}

@@ -353,13 +353,6 @@ type ladder struct {
 	recoveries   atomic.Int64
 }
 
-// engine returns the current rung's engine.
-func (l *ladder) engine() *engine.Engine {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rungs[l.level].eng
-}
-
 // engineRung returns the current rung's engine and name (for the request
 // trace's attempt annotation).
 func (l *ladder) engineRung() (*engine.Engine, string) {

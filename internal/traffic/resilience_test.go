@@ -336,12 +336,12 @@ func TestChaosExercisesResilience(t *testing.T) {
 }
 
 // TestChaosOffMatchesLegacyStream pins the non-interference guarantee: with
-// chaos off, a resilient campaign and the legacy path generate the same
+// chaos off, campaigns with resilience on and off generate the same
 // deterministic stream (same digest), and a clean workload trips nothing —
 // zero breaker flaps, zero degradations, zero retries.
 func TestChaosOffMatchesLegacyStream(t *testing.T) {
 	spec := mustParse(t, chaosSpec)
-	legacy, err := Serve(ServeConfig{Spec: spec, Workers: 3, MaxRequests: 200})
+	off, err := Serve(ServeConfig{Spec: spec, Workers: 3, MaxRequests: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +354,9 @@ func TestChaosOffMatchesLegacyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.StreamDigest != resilient.StreamDigest {
+	if off.StreamDigest != resilient.StreamDigest {
 		t.Fatalf("resilience changed the request stream: %s vs %s",
-			resilient.StreamDigest, legacy.StreamDigest)
+			resilient.StreamDigest, off.StreamDigest)
 	}
 	if resilient.ChaosDigest != "" {
 		t.Fatal("chaos digest present with chaos off")

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,15 +48,17 @@ type ServeConfig struct {
 	// Resilience, when set, arms the overload-resilience layer: CoDel-style
 	// delay shedding, per-class token buckets (open-loop), bounded retries
 	// with seeded backoff, per-class circuit breakers and the graceful-
-	// degradation ladder. Nil keeps the pre-resilience serving path
-	// byte-for-byte.
+	// degradation ladder. Nil runs the same pipeline with every mechanism
+	// off: each request gets one attempt on its class engine, and only a
+	// full open-loop queue sheds.
 	Resilience *ResilienceConfig
 	// ChaosSeed, when nonzero, arms the chaos campaign: each request's
 	// injection derives from (ChaosSeed, stream index) via
 	// faultinject.ChaosSchedule, and the campaign switches to per-class
-	// ordered execution so its resilience accounting — summarized in
+	// ordered lanes so its resilience accounting — summarized in
 	// ChaosDigest — is byte-identical at any worker count (closed-loop).
-	// Chaos implies Resilience (defaults when nil).
+	// Chaos implies Resilience (defaults when nil) but leaves the
+	// wall-clock mechanisms (CoDel, token buckets) off.
 	ChaosSeed uint64
 	// Obs, when set, registers per-class latency histograms, percentile
 	// gauges and deadline/shed counters, and is passed to the engines.
@@ -95,29 +99,44 @@ type ServeConfig struct {
 	Restarts int64
 }
 
+// Counters is the request accounting of one class (ClassStats) or of the
+// whole campaign (ServeResult, the per-class sum).
+type Counters struct {
+	Generated       int64 `json:"generated"`
+	Admitted        int64 `json:"admitted"`
+	Shed            int64 `json:"shed"`
+	ShedBucket      int64 `json:"shed_bucket"`
+	ShedDelay       int64 `json:"shed_delay"`
+	Completed       int64 `json:"completed"`
+	Good            int64 `json:"good"`
+	Faults          int64 `json:"faults"`
+	Detected        int64 `json:"detected"`
+	DeadlineMisses  int64 `json:"deadline_misses"`
+	Abandoned       int64 `json:"abandoned"`
+	Retries         int64 `json:"retries"`
+	RetrySuccesses  int64 `json:"retry_successes"`
+	BreakerTrips    int64 `json:"breaker_trips"`
+	BreakerRejected int64 `json:"breaker_rejected"`
+	Degradations    int64 `json:"degradations"`
+	Recoveries      int64 `json:"recoveries"`
+	ChaosInjected   int64 `json:"chaos_injected"`
+}
+
+// add sums o into c, field by field.
+func (c *Counters) add(o Counters) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := range cv.NumField() {
+		f := cv.Field(i)
+		f.SetInt(f.Int() + ov.Field(i).Int())
+	}
+}
+
 // ClassStats is one class's campaign accounting.
 type ClassStats struct {
-	Class            string  `json:"class"`
-	Tool             string  `json:"tool"`
-	Generated        int64   `json:"generated"`
-	Admitted         int64   `json:"admitted"`
-	Shed             int64   `json:"shed"`
-	ShedBucket       int64   `json:"shed_bucket"`
-	ShedDelay        int64   `json:"shed_delay"`
-	Completed        int64   `json:"completed"`
-	Good             int64   `json:"good"`
-	Faults           int64   `json:"faults"`
-	Detected         int64   `json:"detected"`
-	DeadlineMisses   int64   `json:"deadline_misses"`
-	Abandoned        int64   `json:"abandoned"`
-	Retries          int64   `json:"retries"`
-	RetrySuccesses   int64   `json:"retry_successes"`
-	BreakerTrips     int64   `json:"breaker_trips"`
-	BreakerRejected  int64   `json:"breaker_rejected"`
-	Degradations     int64   `json:"degradations"`
-	Recoveries       int64   `json:"recoveries"`
+	Class string `json:"class"`
+	Tool  string `json:"tool"`
+	Counters
 	DegradationLevel int     `json:"degradation_level"`
-	ChaosInjected    int64   `json:"chaos_injected"`
 	P50us            int64   `json:"p50_us"`
 	P95us            int64   `json:"p95_us"`
 	P99us            int64   `json:"p99_us"`
@@ -132,37 +151,20 @@ type ClassStats struct {
 //	generated = admitted + shed + shed_bucket
 //	admitted  = completed + faults + breaker_rejected + shed_delay + abandoned
 type ServeResult struct {
-	Seed            uint64        `json:"seed"`
-	Workers         int           `json:"workers"`
-	Speedup         float64       `json:"speedup"`
-	Elapsed         time.Duration `json:"-"`
-	ElapsedSec      float64       `json:"elapsed_sec"`
-	Generated       int64         `json:"generated"`
-	Admitted        int64         `json:"admitted"`
-	Shed            int64         `json:"shed"`
-	ShedBucket      int64         `json:"shed_bucket"`
-	ShedDelay       int64         `json:"shed_delay"`
-	Completed       int64         `json:"completed"`
-	Good            int64         `json:"good"`
-	Faults          int64         `json:"faults"`
-	Detected        int64         `json:"detected"`
-	DeadlineMisses  int64         `json:"deadline_misses"`
-	Abandoned       int64         `json:"abandoned"`
-	Retries         int64         `json:"retries"`
-	RetrySuccesses  int64         `json:"retry_successes"`
-	BreakerTrips    int64         `json:"breaker_trips"`
-	BreakerRejected int64         `json:"breaker_rejected"`
-	Degradations    int64         `json:"degradations"`
-	Recoveries      int64         `json:"recoveries"`
-	ChaosInjected   int64         `json:"chaos_injected"`
-	RequestsPerSec  float64       `json:"requests_per_sec"`
-	GoodputPerSec   float64       `json:"goodput_per_sec"`
-	CacheHitRate    float64       `json:"cache_hit_rate"`
-	StreamDigest    string        `json:"stream_digest"`
-	ChaosSeed       uint64        `json:"chaos_seed,omitempty"`
-	ChaosDigest     string        `json:"chaos_digest,omitempty"`
-	Checkpoints     int64         `json:"checkpoints,omitempty"`
-	Restarts        int64         `json:"restarts,omitempty"`
+	Seed       uint64        `json:"seed"`
+	Workers    int           `json:"workers"`
+	Speedup    float64       `json:"speedup"`
+	Elapsed    time.Duration `json:"-"`
+	ElapsedSec float64       `json:"elapsed_sec"`
+	Counters
+	RequestsPerSec float64 `json:"requests_per_sec"`
+	GoodputPerSec  float64 `json:"goodput_per_sec"`
+	CacheHitRate   float64 `json:"cache_hit_rate"`
+	StreamDigest   string  `json:"stream_digest"`
+	ChaosSeed      uint64  `json:"chaos_seed,omitempty"`
+	ChaosDigest    string  `json:"chaos_digest,omitempty"`
+	Checkpoints    int64   `json:"checkpoints,omitempty"`
+	Restarts       int64   `json:"restarts,omitempty"`
 	// Flight is the flight recorder's accounting (present when tracing was
 	// armed); SLO is the per-class objective status (present when the spec
 	// declared objectives).
@@ -171,25 +173,47 @@ type ServeResult struct {
 	Classes []ClassStats       `json:"classes"`
 }
 
-// classCounters is one class's live accounting. Counters are atomics
-// because workers of every class share the pool; the histogram is the
-// lock-free obs histogram.
+// classCounters is one class's live accounting: an atomic mirror of the
+// Counters fields the pipeline counts itself (breakers and ladders keep
+// their own), plus the latency histogram. Counters are atomics because
+// any consumer may account any class, and exported under their Counters
+// names so mirror can pair the two by reflection.
 type classCounters struct {
-	generated      atomic.Int64
-	admitted       atomic.Int64
-	shed           atomic.Int64
-	shedBucket     atomic.Int64
-	shedDelay      atomic.Int64
-	completed      atomic.Int64
-	good           atomic.Int64
-	faults         atomic.Int64
-	detected       atomic.Int64
-	deadlineMisses atomic.Int64
-	abandoned      atomic.Int64
-	retries        atomic.Int64
-	retrySuccesses atomic.Int64
-	chaosInjected  atomic.Int64
-	lat            *obs.Histogram
+	Generated, Admitted, Shed, ShedBucket, ShedDelay, Completed, Good,
+	Faults, Detected, DeadlineMisses, Abandoned, Retries, RetrySuccesses,
+	ChaosInjected atomic.Int64
+
+	lat *obs.Histogram
+}
+
+// mirror calls fn for every live counter with the same-named field of c
+// and that field's JSON name.
+func (cc *classCounters) mirror(c *Counters, fn func(name string, live *atomic.Int64, field *int64)) {
+	lv, cv := reflect.ValueOf(cc).Elem(), reflect.ValueOf(c).Elem()
+	for i := range lv.NumField() {
+		lf := lv.Type().Field(i)
+		if !lf.IsExported() {
+			continue
+		}
+		cf, ok := cv.Type().FieldByName(lf.Name)
+		if !ok {
+			panic("traffic: live counter " + lf.Name + " has no Counters field")
+		}
+		name, _, _ := strings.Cut(cf.Tag.Get("json"), ",")
+		fn(name, lv.Field(i).Addr().Interface().(*atomic.Int64), cv.FieldByIndex(cf.Index).Addr().Interface().(*int64))
+	}
+}
+
+// snapshot reads the live counters.
+func (cc *classCounters) snapshot() Counters {
+	var c Counters
+	cc.mirror(&c, func(_ string, live *atomic.Int64, f *int64) { *f = live.Load() })
+	return c
+}
+
+// restore overwrites the live counters from c.
+func (cc *classCounters) restore(c Counters) {
+	cc.mirror(&c, func(_ string, live *atomic.Int64, f *int64) { live.Store(*f) })
 }
 
 // classState is one class's resilience machinery (nil members = mechanism
@@ -242,20 +266,20 @@ type queued struct {
 	tr  *obs.RequestTrace // nil unless tracing is armed
 }
 
-// server carries one campaign's wiring between Serve and its loops.
+// server carries one campaign's wiring between Serve and its pipeline.
 type server struct {
 	cfg       ServeConfig
 	spec      *Spec
 	seed      uint64
 	workers   int
 	depth     int
-	resOn     bool
 	rc        ResilienceConfig
 	chaos     uint64
 	engines   []*engine.Engine
 	counters  []*classCounters
 	classes   []*classState
 	codel     *codel
+	slots     chan struct{} // execution slots under chaos; nil otherwise
 	done      chan struct{}
 	processed atomic.Int64
 
@@ -269,7 +293,7 @@ type server struct {
 
 	// Checkpoint machinery. admittedAll counts producer-side admissions,
 	// finalized counts admitted requests that reached terminal accounting
-	// in a worker; the barrier waits for them to meet. genSince and
+	// in a consumer; the barrier waits for them to meet. genSince and
 	// ckptErr are producer-only.
 	ckptEvery   int
 	genSince    int
@@ -280,8 +304,8 @@ type server struct {
 }
 
 // Serve runs a campaign: a single producer walks the deterministic
-// request stream and admits into a bounded queue; Workers goroutines
-// drain it through per-class engines sharing one instrumentation cache.
+// request stream and admits into bounded lanes; consumers drain them
+// through per-class engines sharing one instrumentation cache (see run).
 // The request stream (and its digest) is independent of Workers,
 // QueueDepth, Speedup and every resilience decision — the digest is taken
 // as requests are generated, before any admission or shedding choice.
@@ -328,8 +352,10 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if s.chaos != 0 && res == nil {
 		res = &ResilienceConfig{}
 	}
+	// Resilience off is a policy value: no CoDel, buckets, breakers or
+	// ladder (all nil below) and a single attempt per request.
+	s.rc = ResilienceConfig{RetryMax: -1}
 	if res != nil {
-		s.resOn = true
 		s.rc = res.resolve()
 		if s.chaos == 0 {
 			s.codel = newCoDel(s.rc)
@@ -386,9 +412,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		}
 
 		cls := &classState{}
-		if s.resOn {
-			// The full rung shares the class engine so legacy and
-			// resilient paths run identical configurations.
+		if res != nil {
+			// The full rung shares the class engine, so resilience on and
+			// off run identical configurations.
 			lad, err := buildLadder(sanitizers.Name(c.Tool), s.rc, mk)
 			if err != nil {
 				return nil, fmt.Errorf("traffic: client %q: %w", c.ID, err)
@@ -396,7 +422,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 			lad.rungs[0].eng = eng
 			cls.ladder = lad
 			cls.breaker = newBreaker(s.rc)
-			if cfg.Speedup > 0 && s.rc.BucketHeadroom > 0 {
+			// Buckets are wall-clock driven like CoDel, so chaos leaves
+			// them off too.
+			if s.chaos == 0 && cfg.Speedup > 0 && s.rc.BucketHeadroom > 0 {
 				share := c.RateFraction * spec.AggregateRate * cfg.Speedup
 				rate := share * s.rc.BucketHeadroom
 				// Burst absorbs ~20ms of the class's allowance: pacing
@@ -468,11 +496,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	}
 
 	start := time.Now()
-	if s.chaos != 0 {
-		s.runChaos(stream, start)
-	} else {
-		s.runShared(stream, start)
-	}
+	s.run(stream, start)
 	elapsed := time.Since(start)
 	stop()
 	if s.ckptErr != nil {
@@ -510,12 +534,10 @@ func (s *server) maybeCheckpoint(stream *Stream) bool {
 // outcome — and the snapshot is captured and written durably.
 func (s *server) checkpointNow(stream *Stream) bool {
 	for s.finalized.Load() != s.admittedAll.Load() {
-		select {
-		case <-s.done:
+		if s.stopped() {
 			return false
-		default:
-			time.Sleep(50 * time.Microsecond)
 		}
+		time.Sleep(50 * time.Microsecond)
 	}
 	// A stop during (or just before) the drain means workers may have
 	// finalized queued requests as abandoned — those are excluded from the
@@ -523,10 +545,8 @@ func (s *server) checkpointNow(stream *Stream) bool {
 	// The abandon path only runs after s.done is closed, and that close is
 	// visible here once any abandon's finalized increment is, so refusing
 	// on a closed s.done keeps every written snapshot a consistent cut.
-	select {
-	case <-s.done:
+	if s.stopped() {
 		return false
-	default:
 	}
 	ck, err := s.capture(stream)
 	if err == nil {
@@ -540,226 +560,165 @@ func (s *server) checkpointNow(stream *Stream) bool {
 	return true
 }
 
-// runShared is the shared-queue execution loop: legacy when resilience is
-// off, with CoDel shedding, breakers, retries and the ladder layered on
-// when it is. Workers fast-drain the queue as abandoned once the campaign
-// is stopped, so shutdown latency is bounded by in-flight runs, not by a
-// saturated backlog.
-func (s *server) runShared(stream *Stream, start time.Time) {
-	reqCh := make(chan queued, s.depth)
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := range reqCh {
-				cc := s.counters[q.req.ClassIndex]
-				select {
-				case <-s.done:
-					// Stopped: account the backlog instead of running it.
-					cc.abandoned.Add(1)
-					s.finishTrace(q.tr, obs.OutcomeAbandoned)
-					s.finalized.Add(1)
-					continue
-				default:
-				}
-				now := time.Now()
-				if s.codel != nil && s.codel.shed(now, now.Sub(q.at)) {
-					cc.shedDelay.Add(1)
-					s.recordSLO(q.req.ClassIndex, false)
-					s.finishTrace(q.tr, obs.OutcomeShedDelay)
-					s.finalized.Add(1)
-					continue
-				}
-				if s.resOn {
-					s.process(q.req.ClassIndex, q, faultinject.ChaosPlan{})
-				} else {
-					s.runLegacy(q)
-				}
-				s.finalized.Add(1)
-				s.progress()
-			}
-		}()
-	}
-
-producer:
-	for {
-		select {
-		case <-s.done:
-			break producer
-		default:
-		}
-		req := stream.Next()
-		if req == nil {
-			break
-		}
-		cc := s.counters[req.ClassIndex]
-		cc.generated.Add(1)
-		tr := s.newTrace(req)
-		if s.cfg.Speedup > 0 {
-			target := start.Add(time.Duration(float64(req.Arrival) / s.cfg.Speedup))
-			if d := time.Until(target); d > 0 {
-				select {
-				case <-s.done:
-					break producer
-				case <-time.After(d):
-				}
-			}
-			if b := s.classes[req.ClassIndex].bucket; b != nil && !b.allow(time.Now()) {
-				// Class over its burst allowance: shed at its own bucket
-				// before it can crowd the shared queue.
-				cc.shedBucket.Add(1)
-				s.recordSLO(req.ClassIndex, false)
-				s.finishTrace(tr, obs.OutcomeShedBucket)
-				if !s.maybeCheckpoint(stream) {
-					break producer
-				}
-				continue
-			}
-			// The admit event goes on before the send: a delivered trace
-			// belongs to the worker. If the send fails the producer still
-			// owns it and pops the event back off.
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case reqCh <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			default:
-				// Queue full under overload: shed instead of building an
-				// unbounded backlog.
-				cc.shed.Add(1)
-				s.recordSLO(req.ClassIndex, false)
-				if tr != nil {
-					tr.Events = tr.Events[:len(tr.Events)-1]
-				}
-				s.finishTrace(tr, obs.OutcomeShedQueue)
-			}
-		} else {
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case reqCh <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			case <-s.done:
-				break producer
-			}
-		}
-		if !s.maybeCheckpoint(stream) {
-			break producer
-		}
-	}
-	close(reqCh)
-	wg.Wait()
-}
-
-// runChaos is the deterministic chaos execution loop. Each class gets its
-// own bounded channel drained by exactly one consumer, so the class's
+// run is the campaign pipeline. The producer walks the stream into lanes,
+// bounded queues that consumers drain through serveOne. Without chaos
+// there is one shared lane drained by Workers consumers. Under chaos each
+// class gets its own lane with exactly one consumer, so the class's
 // requests — and therefore its breaker transitions, retries and ladder
-// moves — happen in stream order regardless of concurrency; a semaphore of
-// Workers slots bounds simultaneous execution. Per-class accounting chains
-// then combine (in spec order) into a chaos digest that is byte-identical
-// at any worker count for a closed-loop campaign.
-func (s *server) runChaos(stream *Stream, start time.Time) {
-	chans := make([]chan queued, len(s.spec.Clients))
-	for i := range chans {
-		chans[i] = make(chan queued, s.depth)
+// moves — happen in stream order regardless of concurrency, while a
+// semaphore of Workers slots bounds simultaneous execution. The per-class
+// digest chains then combine (in spec order) into a chaos digest that is
+// byte-identical at any worker count for a closed-loop campaign.
+// Consumers fast-drain their lane as abandoned once the campaign is
+// stopped, so shutdown latency is bounded by in-flight runs, not by a
+// saturated backlog.
+func (s *server) run(stream *Stream, start time.Time) {
+	lanes, consumers := make([]chan queued, 1), s.workers
+	if s.chaos != 0 {
+		lanes, consumers = make([]chan queued, len(s.spec.Clients)), 1
+		s.slots = make(chan struct{}, s.workers)
 	}
-	sem := make(chan struct{}, s.workers)
 	var wg sync.WaitGroup
-	for i := range chans {
-		wg.Add(1)
-		go func(ci int, ch <-chan queued) {
-			defer wg.Done()
-			cc := s.counters[ci]
-			for q := range ch {
-				select {
-				case <-s.done:
-					// Stop is wall-clock territory: abandoned requests are
-					// excluded from the digest chain by construction.
-					cc.abandoned.Add(1)
-					s.finishTrace(q.tr, obs.OutcomeAbandoned)
-					s.finalized.Add(1)
-					continue
-				default:
+	for i := range lanes {
+		lane := make(chan queued, s.depth)
+		lanes[i] = lane
+		for range consumers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for q := range lane {
+					s.serveOne(q)
 				}
-				sem <- struct{}{}
-				plan := faultinject.ChaosSchedule(s.chaos, uint64(q.req.Index))
-				code, attempts := s.process(ci, q, plan)
-				<-sem
-				s.classes[ci].digest.record(uint64(q.req.Index), code, attempts)
-				s.finalized.Add(1)
-				s.progress()
-			}
-		}(i, chans[i])
-	}
-
-producer:
-	for {
-		select {
-		case <-s.done:
-			break producer
-		default:
+			}()
 		}
+	}
+	for !s.stopped() {
 		req := stream.Next()
 		if req == nil {
 			break
 		}
-		cc := s.counters[req.ClassIndex]
-		cc.generated.Add(1)
-		tr := s.newTrace(req)
-		if s.cfg.Speedup > 0 {
-			target := start.Add(time.Duration(float64(req.Arrival) / s.cfg.Speedup))
-			if d := time.Until(target); d > 0 {
-				select {
-				case <-s.done:
-					break producer
-				case <-time.After(d):
-				}
-			}
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case chans[req.ClassIndex] <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			default:
-				cc.shed.Add(1)
-				s.recordSLO(req.ClassIndex, false)
-				if tr != nil {
-					tr.Events = tr.Events[:len(tr.Events)-1]
-				}
-				s.finishTrace(tr, obs.OutcomeShedQueue)
-			}
-		} else {
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case chans[req.ClassIndex] <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			case <-s.done:
-				break producer
-			}
+		lane := lanes[0]
+		if len(lanes) > 1 {
+			lane = lanes[req.ClassIndex]
 		}
-		if !s.maybeCheckpoint(stream) {
-			break producer
+		if !s.admit(req, lane, start) || !s.maybeCheckpoint(stream) {
+			break
 		}
 	}
-	for _, ch := range chans {
-		close(ch)
+	for _, lane := range lanes {
+		close(lane)
 	}
 	wg.Wait()
 }
 
-// process executes one admitted request under the resilience policy:
-// breaker gate, chaos arming on the first attempt, bounded retries with
-// seeded backoff, ladder-selected engine. It returns the digest outcome.
+// admit walks one generated request through pacing, its class's token
+// bucket and the lane send. Open-loop (Speedup > 0) a full lane sheds the
+// request; closed-loop the producer blocks instead. It returns false when
+// the campaign stopped and the producer must stop with it.
+func (s *server) admit(req *Request, lane chan<- queued, start time.Time) bool {
+	cc := s.counters[req.ClassIndex]
+	cc.Generated.Add(1)
+	tr := s.newTrace(req)
+	open := s.cfg.Speedup > 0
+	if open {
+		target := start.Add(time.Duration(float64(req.Arrival) / s.cfg.Speedup))
+		if d := time.Until(target); d > 0 {
+			select {
+			case <-s.done:
+				return false
+			case <-time.After(d):
+			}
+		}
+		if b := s.classes[req.ClassIndex].bucket; b != nil && !b.allow(time.Now()) {
+			// Class over its burst allowance: shed at its own bucket
+			// before it can crowd the shared lane.
+			cc.ShedBucket.Add(1)
+			s.recordSLO(req.ClassIndex, false)
+			s.finishTrace(tr, obs.OutcomeShedBucket)
+			return true
+		}
+	}
+	// The admit event goes on before the send: a delivered trace belongs to
+	// the consumer. If the send fails the producer still owns it and pops
+	// the event back off.
+	if tr != nil {
+		tr.Add("admit")
+	}
+	q := queued{req: req, at: time.Now(), tr: tr}
+	if open {
+		select {
+		case lane <- q:
+		default:
+			// Lane full under overload: shed instead of building an
+			// unbounded backlog.
+			cc.Shed.Add(1)
+			s.recordSLO(req.ClassIndex, false)
+			if tr != nil {
+				tr.Events = tr.Events[:len(tr.Events)-1]
+			}
+			s.finishTrace(tr, obs.OutcomeShedQueue)
+			return true
+		}
+	} else {
+		select {
+		case lane <- q:
+		case <-s.done:
+			return false
+		}
+	}
+	cc.Admitted.Add(1)
+	s.admittedAll.Add(1)
+	return true
+}
+
+// serveOne is every consumer's body: abandon after stop, CoDel shed,
+// process, then the chaos digest record.
+func (s *server) serveOne(q queued) {
+	ci := q.req.ClassIndex
+	cc := s.counters[ci]
+	if s.stopped() {
+		// Account the backlog instead of running it. Stop is wall-clock
+		// territory, so abandoned requests stay out of the chaos digest
+		// chain.
+		cc.Abandoned.Add(1)
+		s.finishTrace(q.tr, obs.OutcomeAbandoned)
+		s.finalized.Add(1)
+		return
+	}
+	if s.codel != nil {
+		if now := time.Now(); s.codel.shed(now, now.Sub(q.at)) {
+			cc.ShedDelay.Add(1)
+			s.recordSLO(ci, false)
+			s.finishTrace(q.tr, obs.OutcomeShedDelay)
+			s.finalized.Add(1)
+			return
+		}
+	}
+	var plan faultinject.ChaosPlan
+	if s.chaos != 0 {
+		plan = faultinject.ChaosSchedule(s.chaos, uint64(q.req.Index))
+	}
+	if s.slots != nil {
+		s.slots <- struct{}{}
+	}
+	code, attempts := s.process(ci, q, plan)
+	if s.slots != nil {
+		<-s.slots
+	}
+	if d := s.classes[ci].digest; d != nil {
+		d.record(uint64(q.req.Index), code, attempts)
+	}
+	s.finalized.Add(1)
+	s.progress()
+}
+
+// process executes one admitted request under the class's policy: breaker
+// gate, chaos arming on the first attempt, bounded retries with seeded
+// backoff, ladder-selected engine. With resilience off the breaker and
+// ladder are nil and RetryMax is -1, so this is one attempt on the class
+// engine. A sanitizer detection counts as completed (the service
+// answered); only harness faults (panic, budget exhaustion) and engine
+// errors do not. It returns the digest outcome.
 func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code byte, attempts int) {
 	cc := s.counters[ci]
 	cls := s.classes[ci]
@@ -777,7 +736,7 @@ func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code by
 		return outcomeRejected, 0
 	}
 	if !chaos.Zero() {
-		cc.chaosInjected.Add(1)
+		cc.ChaosInjected.Add(1)
 	}
 	armed := chaos
 	for {
@@ -806,8 +765,8 @@ func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code by
 				cls.ladder.onTrip()
 			}
 		}
-		if fault && attempts <= s.rc.RetryMax && s.rc.RetryMax >= 0 && retryable(armed, res, err) {
-			cc.retries.Add(1)
+		if fault && attempts <= s.rc.RetryMax && retryable(armed, res, err) {
+			cc.Retries.Add(1)
 			d := backoffUS(s.rc, s.seed, uint64(q.req.Index), attempts)
 			if tr != nil {
 				ev := tr.Add("retry")
@@ -826,7 +785,7 @@ func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code by
 		cc.lat.Observe(lat.Microseconds())
 		missed := q.req.Deadline > 0 && lat > q.req.Deadline
 		if missed {
-			cc.deadlineMisses.Add(1)
+			cc.DeadlineMisses.Add(1)
 		}
 		if tr != nil {
 			tr.Attempts = attempts
@@ -834,7 +793,7 @@ func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code by
 			tr.DeadlineMiss = missed
 		}
 		if fault {
-			cc.faults.Add(1)
+			cc.Faults.Add(1)
 			if cls.ladder != nil {
 				cls.ladder.onFault()
 			}
@@ -845,19 +804,19 @@ func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code by
 			s.finishTrace(tr, obs.OutcomeFault)
 			return outcomeFault, attempts
 		}
-		cc.completed.Add(1)
+		cc.Completed.Add(1)
 		if !missed {
-			cc.good.Add(1)
+			cc.Good.Add(1)
 		}
 		if attempts > 1 {
-			cc.retrySuccesses.Add(1)
+			cc.RetrySuccesses.Add(1)
 		}
 		if cls.ladder != nil {
 			cls.ladder.onClean()
 		}
 		s.recordSLO(ci, !missed)
 		if res.Violation != nil {
-			cc.detected.Add(1)
+			cc.Detected.Add(1)
 			s.finishTrace(tr, obs.OutcomeDetected)
 			return outcomeDetected, attempts
 		}
@@ -879,6 +838,16 @@ func faultDetail(err error, res *interp.Result) string {
 		return fo.Class.String()
 	}
 	return "error"
+}
+
+// stopped reports whether the campaign has been stopped.
+func (s *server) stopped() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (s *server) progress() {
@@ -915,6 +884,20 @@ func (s *server) recordSLO(ci int, good bool) {
 	}
 }
 
+// classTotals returns class i's full accounting: its live counters plus
+// its breaker's and ladder's.
+func (s *server) classTotals(i int) Counters {
+	c := s.counters[i].snapshot()
+	cls := s.classes[i]
+	if b := cls.breaker; b != nil {
+		c.BreakerTrips, c.BreakerRejected = b.trips.Load(), b.rejected.Load()
+	}
+	if l := cls.ladder; l != nil {
+		c.Degradations, c.Recoveries = l.degradations.Load(), l.recoveries.Load()
+	}
+	return c
+}
+
 // collect assembles the campaign summary.
 func (s *server) collect(stream *Stream, elapsed time.Duration) *ServeResult {
 	res := &ServeResult{
@@ -940,63 +923,27 @@ func (s *server) collect(stream *Stream, elapsed time.Duration) *ServeResult {
 	combined := sha256.New()
 	for i := range s.spec.Clients {
 		c := &s.spec.Clients[i]
-		cc := s.counters[i]
+		lat := s.counters[i].lat
 		cls := s.classes[i]
 		cs := ClassStats{
-			Class:          c.ID,
-			Tool:           c.Tool,
-			Generated:      cc.generated.Load(),
-			Admitted:       cc.admitted.Load(),
-			Shed:           cc.shed.Load(),
-			ShedBucket:     cc.shedBucket.Load(),
-			ShedDelay:      cc.shedDelay.Load(),
-			Completed:      cc.completed.Load(),
-			Good:           cc.good.Load(),
-			Faults:         cc.faults.Load(),
-			Detected:       cc.detected.Load(),
-			DeadlineMisses: cc.deadlineMisses.Load(),
-			Abandoned:      cc.abandoned.Load(),
-			Retries:        cc.retries.Load(),
-			RetrySuccesses: cc.retrySuccesses.Load(),
-			ChaosInjected:  cc.chaosInjected.Load(),
-			P50us:          cc.lat.Quantile(0.50),
-			P95us:          cc.lat.Quantile(0.95),
-			P99us:          cc.lat.Quantile(0.99),
-		}
-		if cls.breaker != nil {
-			cs.BreakerTrips = cls.breaker.trips.Load()
-			cs.BreakerRejected = cls.breaker.rejected.Load()
+			Class:    c.ID,
+			Tool:     c.Tool,
+			Counters: s.classTotals(i),
+			P50us:    lat.Quantile(0.50),
+			P95us:    lat.Quantile(0.95),
+			P99us:    lat.Quantile(0.99),
 		}
 		if cls.ladder != nil {
-			cs.Degradations = cls.ladder.degradations.Load()
-			cs.Recoveries = cls.ladder.recoveries.Load()
 			cs.DegradationLevel = int(cls.ladder.levelG.Load())
 		}
-		if n := cc.lat.Count(); n > 0 {
-			cs.MeanLatencyUS = float64(cc.lat.Sum()) / float64(n)
+		if n := lat.Count(); n > 0 {
+			cs.MeanLatencyUS = float64(lat.Sum()) / float64(n)
 		}
 		if cls.digest != nil {
 			combined.Write(cls.digest.h.Sum(nil))
 		}
 		res.Classes = append(res.Classes, cs)
-		res.Generated += cs.Generated
-		res.Admitted += cs.Admitted
-		res.Shed += cs.Shed
-		res.ShedBucket += cs.ShedBucket
-		res.ShedDelay += cs.ShedDelay
-		res.Completed += cs.Completed
-		res.Good += cs.Good
-		res.Faults += cs.Faults
-		res.Detected += cs.Detected
-		res.DeadlineMisses += cs.DeadlineMisses
-		res.Abandoned += cs.Abandoned
-		res.Retries += cs.Retries
-		res.RetrySuccesses += cs.RetrySuccesses
-		res.BreakerTrips += cs.BreakerTrips
-		res.BreakerRejected += cs.BreakerRejected
-		res.Degradations += cs.Degradations
-		res.Recoveries += cs.Recoveries
-		res.ChaosInjected += cs.ChaosInjected
+		res.Counters.add(cs.Counters)
 	}
 	if s.chaos != 0 {
 		res.ChaosDigest = hex.EncodeToString(combined.Sum(nil))
@@ -1015,58 +962,6 @@ func (s *server) collect(stream *Stream, elapsed time.Duration) *ServeResult {
 	return res
 }
 
-// runLegacy executes one admitted request on the pre-resilience path and
-// accounts it. A sanitizer detection still counts as completed (the service
-// answered); only harness faults (panic, budget exhaustion) and engine
-// errors do not.
-func (s *server) runLegacy(q queued) {
-	ci := q.req.ClassIndex
-	eng := s.engines[ci]
-	cc := s.counters[ci]
-	tr := q.tr
-	if tr != nil {
-		ev := tr.Add("dequeue")
-		ev.DurUS = time.Since(q.at).Microseconds()
-	}
-	execStart := time.Now()
-	res, err := eng.Run(q.req.Program, q.req.Inputs...)
-	if tr != nil {
-		// Run retries recycled panics internally, so the legacy path gets
-		// one aggregate span instead of instrument/run/reset sub-spans.
-		tr.Span("execute", execStart, time.Since(execStart))
-	}
-	lat := time.Since(q.at)
-	cc.lat.Observe(lat.Microseconds())
-	missed := q.req.Deadline > 0 && lat > q.req.Deadline
-	if missed {
-		cc.deadlineMisses.Add(1)
-	}
-	if tr != nil {
-		tr.Attempts = 1
-		tr.DeadlineMiss = missed
-	}
-	if err != nil || engine.AsFault(res.Err) != nil || res.Err != nil {
-		cc.faults.Add(1)
-		if tr != nil {
-			tr.Add("fault").Detail = faultDetail(err, res)
-		}
-		s.recordSLO(ci, false)
-		s.finishTrace(tr, obs.OutcomeFault)
-		return
-	}
-	cc.completed.Add(1)
-	if !missed {
-		cc.good.Add(1)
-	}
-	s.recordSLO(ci, !missed)
-	if res.Violation != nil {
-		cc.detected.Add(1)
-		s.finishTrace(tr, obs.OutcomeDetected)
-		return
-	}
-	s.finishTrace(tr, obs.OutcomeClean)
-}
-
 // registerClassGauges mirrors a class's counters, resilience state and
 // latency percentiles into the obs registry, so a live /metrics scrape sees
 // the campaign: admission sheds, breaker state and ladder level included.
@@ -1076,20 +971,9 @@ func registerClassGauges(o *obs.Observer, id string, cc *classCounters, cls *cla
 	gauge := func(name string, fn func() int64) {
 		reg.GaugeFunc(name, func() float64 { return float64(fn()) }, l)
 	}
-	gauge("traffic_generated", cc.generated.Load)
-	gauge("traffic_admitted", cc.admitted.Load)
-	gauge("traffic_shed", cc.shed.Load)
-	gauge("traffic_shed_bucket", cc.shedBucket.Load)
-	gauge("traffic_shed_delay", cc.shedDelay.Load)
-	gauge("traffic_completed", cc.completed.Load)
-	gauge("traffic_good", cc.good.Load)
-	gauge("traffic_faults", cc.faults.Load)
-	gauge("traffic_detected", cc.detected.Load)
-	gauge("traffic_deadline_misses", cc.deadlineMisses.Load)
-	gauge("traffic_abandoned", cc.abandoned.Load)
-	gauge("traffic_retries", cc.retries.Load)
-	gauge("traffic_retry_successes", cc.retrySuccesses.Load)
-	gauge("traffic_chaos_injected", cc.chaosInjected.Load)
+	cc.mirror(&Counters{}, func(name string, live *atomic.Int64, _ *int64) {
+		gauge("traffic_"+name, live.Load)
+	})
 	gauge("traffic_latency_p50_us", func() int64 { return cc.lat.Quantile(0.50) })
 	gauge("traffic_latency_p95_us", func() int64 { return cc.lat.Quantile(0.95) })
 	gauge("traffic_latency_p99_us", func() int64 { return cc.lat.Quantile(0.99) })

@@ -100,27 +100,44 @@ func TestFlightFaultedRetention(t *testing.T) {
 	}
 }
 
-// TestTraceLifecycleEvents: a retained trace from the resilience path
-// carries the full lifecycle — generate, admit, dequeue, attempt, and the
-// engine sub-spans (instrument, run, reset) from RunPlanned.
+// TestTraceLifecycleEvents: a retained executed trace carries the full
+// lifecycle — generate, admit, dequeue, attempt, and the engine sub-spans
+// (instrument, run, reset) from RunPlanned — with resilience on (the chaos
+// campaign) and off (nil Resilience), since both run the one executor.
 func TestTraceLifecycleEvents(t *testing.T) {
-	_, rec := chaosFlightRun(t, 2, -1)
-	for _, r := range rec.Records() {
-		if r.Outcome != obs.OutcomeFault && r.Outcome != obs.OutcomeClean {
-			continue
-		}
-		kinds := make(map[string]bool, len(r.Events))
-		for _, ev := range r.Events {
-			kinds[ev.Kind] = true
-		}
-		for _, want := range []string{"generate", "admit", "dequeue", "attempt", "instrument", "run"} {
-			if !kinds[want] {
-				t.Fatalf("trace %s (outcome %s) missing %q event: %+v", r.TraceID, r.Outcome, want, r.Events)
+	campaigns := map[string]func(t *testing.T) *obs.FlightRecorder{
+		"chaos": func(t *testing.T) *obs.FlightRecorder {
+			_, rec := chaosFlightRun(t, 2, -1)
+			return rec
+		},
+		"resilience off": func(t *testing.T) *obs.FlightRecorder {
+			rec := obs.NewFlightRecorder(obs.FlightConfig{Budget: 4096, SampleN: 8})
+			if _, err := Serve(ServeConfig{Spec: mustParse(t, serveSpec), Workers: 2, MaxRequests: 200, Flight: rec}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return
+			return rec
+		},
 	}
-	t.Fatal("no executed trace retained")
+	for name, run := range campaigns {
+		t.Run(name, func(t *testing.T) {
+			for _, r := range run(t).Records() {
+				if r.Outcome != obs.OutcomeFault && r.Outcome != obs.OutcomeClean {
+					continue
+				}
+				kinds := make(map[string]bool, len(r.Events))
+				for _, ev := range r.Events {
+					kinds[ev.Kind] = true
+				}
+				for _, want := range []string{"generate", "admit", "dequeue", "attempt", "instrument", "run", "reset"} {
+					if !kinds[want] {
+						t.Fatalf("trace %s (outcome %s) missing %q event: %+v", r.TraceID, r.Outcome, want, r.Events)
+					}
+				}
+				return
+			}
+			t.Fatal("no executed trace retained")
+		})
+	}
 }
 
 // TestCheckpointFlightRoundtrip: the recorder's state rides the serve
