@@ -1,7 +1,8 @@
 // Package cliutil holds the flag conventions shared by every cmd/ tool:
 // the -workers/-max-steps/-max-depth knobs plumbed into the execution
 // engine, the observability flag set (-metrics-json, -trace, -http,
-// -profile-checks) backed by internal/obs, and the BENCH_*.json emission
+// -profile-checks, and the Go -cpuprofile/-memprofile) backed by
+// internal/obs and runtime/pprof, and the BENCH_*.json emission
 // used by the benchmark commands.
 package cliutil
 
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 
 	"cecsan/internal/obs"
 )
@@ -91,8 +93,9 @@ func WriteJSON(path string, v any) error {
 }
 
 // ObsFlags is the shared observability flag set. Every cmd/ tool registers
-// the same four flags with the same meaning; Build turns them into an
-// attached Observer and Finish writes the requested exports at exit.
+// the same flags with the same meaning; Build turns them into an attached
+// Observer (and starts the Go profiles asked for) and Finish writes the
+// requested exports at exit.
 type ObsFlags struct {
 	// MetricsJSON is -metrics-json: path for the final registry snapshot.
 	MetricsJSON string
@@ -110,6 +113,14 @@ type ObsFlags struct {
 	// profile (implies -profile-checks). The file is the baseline input to
 	// cecsan-run's -profile-diff ablation mode.
 	ProfileJSON string
+	// CPUProfile is -cpuprofile: path for a Go CPU profile of the whole
+	// run, from Build to Finish.
+	CPUProfile string
+	// MemProfile is -memprofile: path for a Go allocation profile written
+	// at Finish.
+	MemProfile string
+
+	cpuFile *os.File // open CPU profile between Build and Finish
 }
 
 // RegisterObsFlags registers the shared observability flags on fs.
@@ -121,6 +132,8 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	fs.BoolVar(&f.ProfileChecks, "profile-checks", false, "profile executed checks per (sanitizer, site); print the hottest sites at exit")
 	fs.IntVar(&f.ProfileTop, "profile-top", 10, "rows in the -profile-checks table (0 = all)")
 	fs.StringVar(&f.ProfileJSON, "profile-json", "", "write the full check-site profile as JSON to this path (implies -profile-checks)")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a Go CPU profile of the run to this path")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a Go allocation profile to this path at exit")
 	return f
 }
 
@@ -128,7 +141,8 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 // set.
 func ObsFlagsCmd() *ObsFlags { return RegisterObsFlags(flag.CommandLine) }
 
-// Enabled reports whether any observability flag was set.
+// Enabled reports whether any flag that needs an Observer was set. The Go
+// profile flags do not: they profile the process, not the engines.
 func (f *ObsFlags) Enabled() bool {
 	return f.MetricsJSON != "" || f.TracePath != "" || f.HTTPAddr != "" || f.ProfileChecks || f.ProfileJSON != ""
 }
@@ -138,6 +152,17 @@ func (f *ObsFlags) Enabled() bool {
 // (nil, nil, nil) when no observability flag is set, so callers can pass the
 // nil Observer straight into engine.Options.Obs.
 func (f *ObsFlags) Build() (*obs.Observer, *obs.Server, error) {
+	if f.CPUProfile != "" {
+		fh, err := os.Create(f.CPUProfile)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cliutil: -cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(fh); err != nil {
+			fh.Close()
+			return nil, nil, fmt.Errorf("cliutil: -cpuprofile: %w", err)
+		}
+		f.cpuFile = fh
+	}
 	if !f.Enabled() {
 		return nil, nil, nil
 	}
@@ -160,15 +185,18 @@ func (f *ObsFlags) Build() (*obs.Observer, *obs.Server, error) {
 	return o, srv, nil
 }
 
-// Finish writes the exports the flags requested — the -metrics-json
-// snapshot, the -trace file, the -profile-checks table (attributed against
-// totalChecks when positive) — and shuts the live endpoint down. Safe to
-// call with a nil Observer (no flags set).
+// Finish writes the exports the flags requested — the Go profiles, the
+// -metrics-json snapshot, the -trace file, the -profile-checks table
+// (attributed against totalChecks when positive) — and shuts the live
+// endpoint down. Safe to call with a nil Observer (no flags set).
 func (f *ObsFlags) Finish(o *obs.Observer, srv *obs.Server, totalChecks int64) error {
+	firstErr := f.finishProfiles()
 	if o == nil {
-		return srv.Close()
+		if err := srv.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return firstErr
 	}
-	var firstErr error
 	if f.MetricsJSON != "" {
 		if err := writeTo(f.MetricsJSON, o.Registry.WriteJSON); err != nil && firstErr == nil {
 			firstErr = err
@@ -190,6 +218,25 @@ func (f *ObsFlags) Finish(o *obs.Observer, srv *obs.Server, totalChecks int64) e
 	}
 	if err := srv.Close(); err != nil && firstErr == nil {
 		firstErr = err
+	}
+	return firstErr
+}
+
+// finishProfiles stops the CPU profile and writes the allocation profile.
+func (f *ObsFlags) finishProfiles() error {
+	var firstErr error
+	if f.cpuFile != nil {
+		pprof.StopCPUProfile()
+		firstErr = f.cpuFile.Close()
+		f.cpuFile = nil
+	}
+	if f.MemProfile != "" {
+		runtime.GC() // settle the in-use figures, as go test -memprofile does
+		if err := writeTo(f.MemProfile, func(w io.Writer) error {
+			return pprof.Lookup("allocs").WriteTo(w, 0)
+		}); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }

@@ -231,6 +231,39 @@ func TestObsFlagsBuild(t *testing.T) {
 	}
 }
 
+// TestObsFlagsGoProfiles: -cpuprofile and -memprofile need no Observer
+// (engines stay unobserved) and leave non-empty profiles behind after
+// Finish.
+func TestObsFlagsGoProfiles(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	f := RegisterObsFlags(fs)
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", heap}); err != nil {
+		t.Fatal(err)
+	}
+	o, srv, err := f.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o != nil || srv != nil {
+		t.Fatalf("Build() = %v, %v: profile flags alone must not attach an Observer", o, srv)
+	}
+	sink := 0
+	for i := 0; i < 1e6; i++ {
+		sink += i
+	}
+	_ = sink
+	if err := f.Finish(o, srv, 0); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	for _, path := range []string{cpu, heap} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: stat = %v, %v; want a non-empty profile", filepath.Base(path), st, err)
+		}
+	}
+}
+
 // TestWriteToDurable: the happy path syncs the data and the directory — a
 // successful write leaves exactly the target file, readable back in full
 // (the sync calls themselves are untestable without fault injection, but a

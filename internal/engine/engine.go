@@ -115,9 +115,9 @@ type Options struct {
 	// Table II campaign). Nil gives the engine a private cache of
 	// DefaultCacheCapacity — the pre-campaign-cache behaviour.
 	Cache *Cache
-	// DisableFusion turns off the check+access superinstruction fusion pass
-	// for this engine's instrumented programs (equivalence testing; fused
-	// and unfused execution are semantically identical).
+	// DisableFusion resolves this engine's instrumented programs without
+	// superinstructions (equivalence testing; fused and unfused execution
+	// are semantically identical).
 	DisableFusion bool
 }
 
@@ -351,8 +351,8 @@ func (e *Engine) instrument(p *prog.Program, prefill bool) *prog.Program {
 func (e *Engine) apply(p *prog.Program) *prog.Program {
 	start := time.Now()
 	ip := instrument.Apply(p, e.profile)
-	if !e.opts.DisableFusion {
-		instrument.Fuse(ip)
+	if e.opts.DisableFusion {
+		ip.Resolve(false)
 	}
 	dur := time.Since(start)
 	e.instrumentNS.Add(dur.Nanoseconds())

@@ -155,6 +155,60 @@ func TestConcurrentEngineUse(t *testing.T) {
 	}
 }
 
+// TestConcurrentRunsShareResolvedProgram runs one cached program — calls,
+// globals, loops and a parallel region, so every resolved Ref kind — from
+// several goroutines at once, with and without per-pointer metadata. Every
+// machine reads the one resolved form; run with -race this proves nothing
+// on the run path writes to it.
+func TestConcurrentRunsShareResolvedProgram(t *testing.T) {
+	pb := prog.NewProgram()
+	pb.GlobalInit("acc", prog.Int64T(), 5)
+	w := pb.Function("work", 1)
+	arr := w.MallocBytes(64)
+	w.ForRange(prog.ConstOperand(0), prog.ConstOperand(8), 1, func(i prog.Reg) {
+		w.Store(w.ElemPtr(arr, prog.Int64T(), i), 0, w.Add(i, w.Arg(0)), prog.Int64T())
+	})
+	sum := w.Load(w.ElemPtr(arr, prog.Int64T(), w.Const(7)), 0, prog.Int64T())
+	w.Free(arr)
+	w.Ret(sum)
+	body := pb.Function("body", 1)
+	body.Call("work", body.Arg(0))
+	body.RetVoid()
+	f := pb.Function("main", 0)
+	g := f.GlobalAddr("acc")
+	f.ForRange(prog.ConstOperand(0), prog.ConstOperand(20), 1, func(i prog.Reg) {
+		f.Store(g, 0, f.Add(f.Load(g, 0, prog.Int64T()), f.Call("work", i)), prog.Int64T())
+	})
+	// One parallel-region thread: two would make the peak-footprint
+	// gauges depend on scheduling.
+	f.ParFor("body", f.Const(0), f.Const(4), 1)
+	f.Ret(f.Load(g, 0, prog.Int64T()))
+	p := pb.MustBuild()
+
+	for _, tool := range []sanitizers.Name{sanitizers.CECSan, sanitizers.SoftBound} {
+		eng, err := New(tool, Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("engine.New: %v", err)
+		}
+		want := uncachedRun(t, tool, p, nil)
+		if !want.Ok() || want.Ret != 5+20*7+190 {
+			t.Fatalf("%s: reference run %+v, want Ret %d", tool, want, 5+20*7+190)
+		}
+		if err := eng.ForEach(16, func(int) error {
+			got, err := eng.Run(p)
+			if err != nil {
+				return err
+			}
+			if !sameResult(got, want) {
+				t.Errorf("%s: run diverged under concurrency:\n got %+v\nwant %+v", tool, got, want)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: ForEach: %v", tool, err)
+		}
+	}
+}
+
 // TestInstrumentCacheKeying verifies hits only happen for structurally
 // identical programs and that hit/miss counters add up.
 func TestInstrumentCacheKeying(t *testing.T) {

@@ -313,6 +313,44 @@ func TestWallBudgetFault(t *testing.T) {
 	}
 }
 
+// TestCondBrBackedgeWallBudget: a loop whose only backedge is a
+// conditional branch still reports the watchdog's cause, so the engine
+// classifies it as FaultWallBudget, with and without superinstructions.
+func TestCondBrBackedgeWallBudget(t *testing.T) {
+	const N = prog.NoReg
+	p := &prog.Program{
+		Funcs: map[string]*prog.Func{"main": {Name: "main", NumRegs: 3, Code: []prog.Instr{
+			{Op: prog.OpConst, Dst: 0, A: N, B: N, Imm: 1},
+			{Op: prog.OpConst, Dst: 1, A: N, B: N, Imm: 0},
+			{Op: prog.OpCmp, X: uint8(prog.CmpNe), Dst: 2, A: 0, B: 1},
+			{Op: prog.OpCondBr, Dst: N, A: 2, B: N, Imm: 2},
+			{Op: prog.OpRet, Dst: N, A: 0, B: N},
+		}}},
+		Order: []string{"main"},
+		Entry: "main",
+	}
+	if err := prog.Validate(p); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	p.Resolve(true)
+	for _, disable := range []bool{false, true} {
+		eng, err := New(sanitizers.CECSan, Options{WallBudget: 50 * time.Millisecond, MaxInstructions: 1 << 62, DisableFusion: disable})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		res, rerr := eng.Run(p)
+		if rerr != nil {
+			t.Fatalf("Run: %v", rerr)
+		}
+		if fo := AsFault(res.Err); fo == nil || fo.Class != FaultWallBudget {
+			t.Fatalf("DisableFusion=%v: err = %v, want FaultWallBudget outcome", disable, res.Err)
+		}
+		if !errors.Is(res.Err, interp.ErrWallBudget) {
+			t.Fatalf("DisableFusion=%v: fault does not unwrap to ErrWallBudget: %v", disable, res.Err)
+		}
+	}
+}
+
 // TestHeapBudgetFault bounds live simulated heap: a leak loop trips the
 // budget and is classified FaultHeapBudget.
 func TestHeapBudgetFault(t *testing.T) {

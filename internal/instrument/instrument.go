@@ -10,7 +10,8 @@ import (
 const DefaultCheckStep = 5
 
 // Apply clones the program and instruments it for the given profile,
-// returning the instrumented copy. The original is not modified.
+// returning the instrumented copy, resolved with superinstructions (see
+// prog.Resolve). The original is not modified.
 func Apply(p *prog.Program, profile rt.Profile) *prog.Program {
 	out := p.Clone()
 	if profile.CheckStep <= 0 {
@@ -44,15 +45,18 @@ func Apply(p *prog.Program, profile rt.Profile) *prog.Program {
 			groupMonotonicChecks(f, profile.CheckStep)
 		}
 	}
+	// Resolution reads the check-optimization passes' output, so it runs
+	// last: a check fuses with the access it still guards.
+	out.Resolve(true)
 	return out
 }
 
 // rewriter rebuilds a function's code with insertions/removals while
 // remapping branch targets and loop ranges.
 type rewriter struct {
-	f      *prog.Func
-	out    []prog.Instr
-	idxMap []int // old index -> new index of the group start
+	f       *prog.Func
+	out     []prog.Instr
+	idxMap  []int // old index -> new index of the group start
 	fromOld []bool
 }
 
@@ -130,8 +134,8 @@ func instrumentFunc(f *prog.Func, profile rt.Profile, globalSizes map[string]int
 	narrow := map[int]bool{}
 	var subRegs []prog.Reg
 	if profile.SubObject {
-		escapes := make(map[prog.Reg]bool)  // returned or stored as a value
-		dynamic := make(map[prog.Reg]bool)  // any use that needs runtime bounds
+		escapes := make(map[prog.Reg]bool) // returned or stored as a value
+		dynamic := make(map[prog.Reg]bool) // any use that needs runtime bounds
 		for i := range f.Code {
 			in := &f.Code[i]
 			switch in.Op {

@@ -37,6 +37,14 @@ type thread struct {
 	metaArena []rt.PtrMeta
 	frameBase int
 
+	// args/argMetas pass call arguments (see setArgs) and hold the stripped
+	// arguments of an external call; tracked holds the metadata-carrying
+	// stack objects of every live frame, each frame owning the tail it
+	// appended. All are reused across calls.
+	args     []uint64
+	argMetas []rt.PtrMeta
+	tracked  []trackedObj
+
 	local Stats
 }
 
@@ -80,9 +88,41 @@ type trackedObj struct {
 	size int64
 }
 
+// setArgs copies the values (and per-pointer metadata, when tracked) of the
+// argument registers into the thread's argument buffer, which call copies
+// into the callee's frame before it runs anything. The buffer is reused by
+// every call, so argument passing allocates nothing once it has grown.
+func (th *thread) setArgs(args []prog.Reg, regs []uint64, metas []rt.PtrMeta) ([]uint64, []rt.PtrMeta) {
+	n := len(args)
+	vals := th.argBuf(n)
+	for i, a := range args {
+		vals[i] = regs[a]
+	}
+	if metas == nil {
+		return vals, nil
+	}
+	ms := th.argMetas[:n]
+	for i, a := range args {
+		ms[i] = metas[a]
+	}
+	return vals, ms
+}
+
+// argBuf returns the thread's argument buffers, grown to hold n values,
+// with the value buffer cut to n.
+func (th *thread) argBuf(n int) []uint64 {
+	if n > len(th.args) {
+		th.args = make([]uint64, n)
+		th.argMetas = make([]rt.PtrMeta, n)
+	}
+	return th.args[:n]
+}
+
 // call executes fn with the given argument values (and their per-pointer
 // metadata when tracking is enabled), returning the result value/meta or an
-// abort.
+// abort. It is the machine's one dispatch loop: it switches on each
+// instruction's resolved execution opcode (prog.ExecOp), and never writes to
+// the program.
 func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth int) (uint64, rt.PtrMeta, *abort) {
 	if depth > th.m.opts.MaxCallDepth {
 		return 0, rt.PtrMeta{}, &abort{err: ErrCallDepth}
@@ -93,7 +133,6 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 		return 0, rt.PtrMeta{}, th.abortCause()
 	}
 	m := th.m
-	run := m.san.Runtime
 	mask := m.addrMask
 
 	arenaMark := th.frameBase
@@ -102,151 +141,199 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 	if metas != nil {
 		copy(metas, argMeta)
 	}
-
 	frameMark := th.stack.Mark()
-	var tracked []trackedObj
-	// epilogue releases tracked stack objects' metadata and pops the frame,
-	// returning the register window to the arena.
-	epilogue := func() {
-		for _, ob := range tracked {
-			run.StackRelease(ob.ptr, ob.size)
-		}
-		th.stack.Release(frameMark)
-		th.frameBase = arenaMark
-	}
+	trackMark := len(th.tracked)
 
+	// Instructions are counted per straight-line run, not one by one: a run
+	// starts at seg (function entry or a taken branch's target) and every
+	// instruction up to the next taken branch, return or the end executes
+	// once. steps holds the runs finished since the last backedge.
 	code := fn.Code
-	pc := 0
+	pc, seg := 0, 0
 	steps := int64(0)
+	var (
+		ret   uint64
+		rmeta rt.PtrMeta
+		ab    *abort
+		taken bool // a compare-and-branch pair's comparison result
+	)
 
+loop:
 	for pc < len(code) {
 		in := &code[pc]
-		steps++
-		switch in.Op {
-		case prog.OpConst:
+		// A superinstruction's case runs its head, advances pc and in to
+		// the next instruction of the sequence and falls through into that
+		// instruction's own case.
+		switch in.Exec {
+		case prog.ExecConstAddBr:
 			regs[in.Dst] = uint64(in.Imm)
-		case prog.OpMov:
+			pc, in = pc+1, &code[pc+1]
+			fallthrough
+		case prog.ExecAddBr:
+			regs[in.Dst] = regs[in.A] + regs[in.B]
+			if metas != nil {
+				propagateMeta(metas, in)
+			}
+			pc, in = pc+1, &code[pc+1]
+			fallthrough
+		case prog.ExecBr:
+			goto jump
+		case prog.ExecConstAdd:
+			regs[in.Dst] = uint64(in.Imm)
+			pc, in = pc+1, &code[pc+1]
+			fallthrough
+		case prog.ExecAdd:
+			regs[in.Dst] = regs[in.A] + regs[in.B]
+			if metas != nil {
+				propagateMeta(metas, in)
+			}
+		case prog.ExecSub:
+			regs[in.Dst] = regs[in.A] - regs[in.B]
+			if metas != nil {
+				propagateMeta(metas, in)
+			}
+		case prog.ExecConst:
+			regs[in.Dst] = uint64(in.Imm)
+		case prog.ExecMov:
 			regs[in.Dst] = regs[in.A]
 			if metas != nil {
 				metas[in.Dst] = metas[in.A]
 			}
-		case prog.OpBin:
-			a, b := regs[in.A], regs[in.B]
-			var v uint64
-			switch prog.BinOp(in.X) {
-			case prog.BinAdd:
-				v = a + b
-			case prog.BinSub:
-				v = a - b
-			case prog.BinMul:
-				v = a * b
-			case prog.BinDiv:
-				if b == 0 {
-					epilogue()
-					return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: SIGFPE: division by zero in %s@%d", fn.Name, pc)}
-				}
-				v = uint64(int64(a) / int64(b))
-			case prog.BinRem:
-				if b == 0 {
-					epilogue()
-					return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: SIGFPE: remainder by zero in %s@%d", fn.Name, pc)}
-				}
-				v = uint64(int64(a) % int64(b))
-			case prog.BinAnd:
-				v = a & b
-			case prog.BinOr:
-				v = a | b
-			case prog.BinXor:
-				v = a ^ b
-			case prog.BinShl:
-				v = a << (b & 63)
-			case prog.BinShr:
-				v = a >> (b & 63)
+		case prog.ExecMul:
+			regs[in.Dst] = regs[in.A] * regs[in.B]
+		case prog.ExecDiv:
+			b := regs[in.B]
+			if b == 0 {
+				ab = &abort{err: fmt.Errorf("interp: SIGFPE: division by zero in %s@%d", fn.Name, pc)}
+				break loop
+			}
+			regs[in.Dst] = uint64(int64(regs[in.A]) / int64(b))
+		case prog.ExecRem:
+			b := regs[in.B]
+			if b == 0 {
+				ab = &abort{err: fmt.Errorf("interp: SIGFPE: remainder by zero in %s@%d", fn.Name, pc)}
+				break loop
+			}
+			regs[in.Dst] = uint64(int64(regs[in.A]) % int64(b))
+		case prog.ExecAnd:
+			regs[in.Dst] = regs[in.A] & regs[in.B]
+		case prog.ExecOr:
+			regs[in.Dst] = regs[in.A] | regs[in.B]
+		case prog.ExecXor:
+			regs[in.Dst] = regs[in.A] ^ regs[in.B]
+		case prog.ExecShl:
+			regs[in.Dst] = regs[in.A] << (regs[in.B] & 63)
+		case prog.ExecShr:
+			regs[in.Dst] = regs[in.A] >> (regs[in.B] & 63)
+
+		case prog.ExecEq:
+			regs[in.Dst] = b2u(regs[in.A] == regs[in.B])
+		case prog.ExecNe:
+			regs[in.Dst] = b2u(regs[in.A] != regs[in.B])
+		case prog.ExecSLt:
+			regs[in.Dst] = b2u(int64(regs[in.A]) < int64(regs[in.B]))
+		case prog.ExecSLe:
+			regs[in.Dst] = b2u(int64(regs[in.A]) <= int64(regs[in.B]))
+		case prog.ExecSGt:
+			regs[in.Dst] = b2u(int64(regs[in.A]) > int64(regs[in.B]))
+		case prog.ExecSGe:
+			regs[in.Dst] = b2u(int64(regs[in.A]) >= int64(regs[in.B]))
+		case prog.ExecULt:
+			regs[in.Dst] = b2u(regs[in.A] < regs[in.B])
+		case prog.ExecULe:
+			regs[in.Dst] = b2u(regs[in.A] <= regs[in.B])
+		case prog.ExecUGt:
+			regs[in.Dst] = b2u(regs[in.A] > regs[in.B])
+		case prog.ExecUGe:
+			regs[in.Dst] = b2u(regs[in.A] >= regs[in.B])
+
+		// Compare-and-branch pairs: evaluate, then finish at cmpBr.
+		case prog.ExecEqBr:
+			taken = regs[in.A] == regs[in.B]
+			goto cmpBr
+		case prog.ExecNeBr:
+			taken = regs[in.A] != regs[in.B]
+			goto cmpBr
+		case prog.ExecSLtBr:
+			taken = int64(regs[in.A]) < int64(regs[in.B])
+			goto cmpBr
+		case prog.ExecSLeBr:
+			taken = int64(regs[in.A]) <= int64(regs[in.B])
+			goto cmpBr
+		case prog.ExecSGtBr:
+			taken = int64(regs[in.A]) > int64(regs[in.B])
+			goto cmpBr
+		case prog.ExecSGeBr:
+			taken = int64(regs[in.A]) >= int64(regs[in.B])
+			goto cmpBr
+		case prog.ExecULtBr:
+			taken = regs[in.A] < regs[in.B]
+			goto cmpBr
+		case prog.ExecULeBr:
+			taken = regs[in.A] <= regs[in.B]
+			goto cmpBr
+		case prog.ExecUGtBr:
+			taken = regs[in.A] > regs[in.B]
+			goto cmpBr
+		case prog.ExecUGeBr:
+			taken = regs[in.A] >= regs[in.B]
+			goto cmpBr
+
+		case prog.ExecCondBr:
+			if regs[in.A] != 0 {
+				goto jump
+			}
+
+		case prog.ExecGEPIdxCheckLoad:
+			regs[in.Dst] = regs[in.A] + uint64(in.Off) + regs[in.B]*uint64(in.Imm)
+			if metas != nil {
+				metas[in.Dst] = metas[in.A]
+			}
+			pc, in = pc+1, &code[pc+1]
+			fallthrough
+		case prog.ExecCheckLoad:
+			if a := th.check(in, regs, metas, fn, pc); a != nil {
+				ab = a
+				break loop
+			}
+			pc, in = pc+1, &code[pc+1]
+			fallthrough
+		case prog.ExecLoad:
+			v, f := m.space.Load((regs[in.A]&mask)+uint64(in.Off), in.Size)
+			if f != nil {
+				ab = &abort{fault: f}
+				break loop
 			}
 			regs[in.Dst] = v
+		case prog.ExecCheckStore:
+			if a := th.check(in, regs, metas, fn, pc); a != nil {
+				ab = a
+				break loop
+			}
+			pc, in = pc+1, &code[pc+1]
+			fallthrough
+		case prog.ExecStore:
+			if f := m.space.Store((regs[in.A]&mask)+uint64(in.Off), in.Size, regs[in.B]); f != nil {
+				ab = &abort{fault: f}
+				break loop
+			}
+		case prog.ExecCheck:
+			if a := th.check(in, regs, metas, fn, pc); a != nil {
+				ab = a
+				break loop
+			}
+		case prog.ExecGEP:
+			regs[in.Dst] = regs[in.A] + uint64(in.Off)
 			if metas != nil {
-				// Pointer ± integer keeps the operand's per-pointer metadata:
-				// the derived pointer inherits the base object's bounds and
-				// key (SoftBound's pointer-arithmetic rule), so an interior
-				// pointer built by register arithmetic carries provenance
-				// into Free/Check. Scalar operands carry zero metadata, so
-				// plain integer arithmetic stays metadata-free.
-				switch prog.BinOp(in.X) {
-				case prog.BinAdd, prog.BinSub:
-					if ma := metas[in.A]; ma.Valid() {
-						metas[in.Dst] = ma
-					} else if mb := metas[in.B]; mb.Valid() {
-						metas[in.Dst] = mb
-					}
-				}
+				metas[in.Dst] = metas[in.A]
 			}
-		case prog.OpCmp:
-			a, b := regs[in.A], regs[in.B]
-			var t bool
-			switch prog.CmpPred(in.X) {
-			case prog.CmpEq:
-				t = a == b
-			case prog.CmpNe:
-				t = a != b
-			case prog.CmpSLt:
-				t = int64(a) < int64(b)
-			case prog.CmpSLe:
-				t = int64(a) <= int64(b)
-			case prog.CmpSGt:
-				t = int64(a) > int64(b)
-			case prog.CmpSGe:
-				t = int64(a) >= int64(b)
-			case prog.CmpULt:
-				t = a < b
-			case prog.CmpULe:
-				t = a <= b
-			case prog.CmpUGt:
-				t = a > b
-			case prog.CmpUGe:
-				t = a >= b
+		case prog.ExecGEPIdx:
+			regs[in.Dst] = regs[in.A] + uint64(in.Off) + regs[in.B]*uint64(in.Imm)
+			if metas != nil {
+				metas[in.Dst] = metas[in.A]
 			}
-			if t {
-				regs[in.Dst] = 1
-			} else {
-				regs[in.Dst] = 0
-			}
-		case prog.OpBr:
-			tgt := int(in.Imm)
-			if tgt <= pc { // backedge: budget and abort checks
-				th.budget -= steps
-				th.local.Instructions += steps
-				steps = 0
-				if th.budget <= 0 {
-					epilogue()
-					return 0, rt.PtrMeta{}, &abort{err: ErrInstructionBudget}
-				}
-				if m.aborted.Load() {
-					epilogue()
-					return 0, rt.PtrMeta{}, th.abortCause()
-				}
-			}
-			pc = tgt
-			continue
-		case prog.OpCondBr:
-			if regs[in.A] != 0 {
-				tgt := int(in.Imm)
-				if tgt <= pc {
-					th.budget -= steps
-					th.local.Instructions += steps
-					steps = 0
-					if th.budget <= 0 {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{err: ErrInstructionBudget}
-					}
-					if m.aborted.Load() {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{err: errAbortedElsewhere}
-					}
-				}
-				pc = tgt
-				continue
-			}
-		case prog.OpAlloca:
+
+		case prog.ExecAlloca:
 			isTracked := in.Has(prog.FlagTracked)
 			allocSize := in.Size
 			rz := m.san.Profile.StackRedzone
@@ -255,30 +342,30 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 			}
 			raw, err := th.stack.Alloc(allocSize)
 			if err != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: err}
+				ab = &abort{err: err}
+				break loop
 			}
 			if isTracked && rz > 0 {
 				raw += uint64(rz)
 			}
-			ptr, meta := run.StackAlloc(raw, in.Size, isTracked)
+			ptr, meta := m.san.Runtime.StackAlloc(raw, in.Size, isTracked)
 			regs[in.Dst] = ptr
 			if metas != nil {
 				metas[in.Dst] = meta
 			}
 			if isTracked {
-				tracked = append(tracked, trackedObj{ptr: ptr, size: in.Size})
+				th.tracked = append(th.tracked, trackedObj{ptr: ptr, size: in.Size})
 			}
 			m.sampleRSS()
-		case prog.OpMalloc:
+		case prog.ExecMalloc:
 			size := in.Size
 			if in.A != prog.NoReg {
 				size = int64(regs[in.A])
 			}
-			ptr, meta, err := run.Malloc(size)
+			ptr, meta, err := m.san.Runtime.Malloc(size)
 			if err != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: err}
+				ab = &abort{err: err}
+				break loop
 			}
 			regs[in.Dst] = ptr
 			if metas != nil {
@@ -286,159 +373,82 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 			}
 			th.local.Mallocs++
 			if mb := m.opts.MaxHeapBytes; mb > 0 && m.heap.LiveBytes() > mb {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: ErrHeapBudget}
+				ab = &abort{err: ErrHeapBudget}
+				break loop
 			}
 			m.sampleRSS()
-		case prog.OpFree:
+		case prog.ExecFree:
 			var meta rt.PtrMeta
 			if metas != nil {
 				meta = metas[in.A]
 			}
-			if v := run.Free(regs[in.A], meta); v != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
+			if v := m.san.Runtime.Free(regs[in.A], meta); v != nil {
+				ab = th.report(v, fn.Name, pc)
+				break loop
 			}
 			th.local.Frees++
 			m.sampleRSS()
-		case prog.OpLoad:
-			addr := (regs[in.A] & mask) + uint64(in.Off)
-			v, f := m.space.Load(addr, in.Size)
-			if f != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{fault: f}
-			}
-			regs[in.Dst] = v
-		case prog.OpStore:
-			addr := (regs[in.A] & mask) + uint64(in.Off)
-			if f := m.space.Store(addr, in.Size, regs[in.B]); f != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{fault: f}
-			}
-		case prog.OpGEP:
-			v := regs[in.A] + uint64(in.Off)
-			if in.B != prog.NoReg {
-				v += regs[in.B] * uint64(in.Imm)
-			}
-			regs[in.Dst] = v
-			if metas != nil {
-				metas[in.Dst] = metas[in.A]
-			}
-		case prog.OpGlobalAddr:
-			regs[in.Dst] = m.globalPtr[in.Sym]
-			if metas != nil {
-				metas[in.Dst] = m.globalMeta[in.Sym]
-			}
-		case prog.OpCall:
-			callee, ok := m.program.Funcs[in.Sym]
-			if !ok {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: undefined function %q", in.Sym)}
-			}
-			cargs := make([]uint64, len(in.Args))
-			var cmetas []rt.PtrMeta
-			if metas != nil {
-				cmetas = make([]rt.PtrMeta, len(in.Args))
-			}
-			for i, a := range in.Args {
-				cargs[i] = regs[a]
-				if cmetas != nil {
-					cmetas[i] = metas[a]
+		case prog.ExecGlobalAddr:
+			if g := in.Ref; g >= 0 {
+				regs[in.Dst] = m.globalPtr[g]
+				if metas != nil {
+					metas[in.Dst] = m.globalMeta[g]
+				}
+			} else {
+				regs[in.Dst] = 0
+				if metas != nil {
+					metas[in.Dst] = rt.PtrMeta{}
 				}
 			}
-			ret, rmeta, ab := th.call(callee, cargs, cmetas, depth+1)
-			if ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+
+		case prog.ExecCall:
+			callees := m.callees
+			if uint32(in.Ref) >= uint32(len(callees)) {
+				ab = &abort{err: fmt.Errorf("interp: undefined function %q", in.Sym)}
+				break loop
 			}
-			regs[in.Dst] = ret
+			cargs, cmetas := th.setArgs(in.Args, regs, metas)
+			v, vmeta, a := th.call(callees[in.Ref], cargs, cmetas, depth+1)
+			if a != nil {
+				ab = a
+				break loop
+			}
+			regs[in.Dst] = v
 			if metas != nil {
-				metas[in.Dst] = rmeta
+				metas[in.Dst] = vmeta
 			}
-		case prog.OpCallExternal:
-			ret, ab := th.callExternal(in, regs, metas, fn.Name, pc)
-			if ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+		case prog.ExecCallExternal:
+			v, a := th.callExternal(in, regs, metas, fn.Name, pc)
+			if a != nil {
+				ab = a
+				break loop
 			}
-			regs[in.Dst] = ret
+			regs[in.Dst] = v
 			th.local.ExternCalls++
-		case prog.OpLibc:
-			ret, ab := th.libcCall(in, regs, metas, fn.Name, pc)
-			if ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+		case prog.ExecLibc:
+			v, a := th.libcCall(in, regs, metas, fn.Name, pc)
+			if a != nil {
+				ab = a
+				break loop
 			}
-			regs[in.Dst] = ret
+			regs[in.Dst] = v
 			th.local.LibcCalls++
-		case prog.OpParFor:
-			if ab := th.parFor(in, regs, depth); ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+		case prog.ExecParFor:
+			if a := th.parFor(in, regs, depth); a != nil {
+				ab = a
+				break loop
 			}
-		case prog.OpRet:
-			var v uint64
-			var rmeta rt.PtrMeta
+		case prog.ExecRet:
 			if in.A != prog.NoReg {
-				v = regs[in.A]
+				ret = regs[in.A]
 				if metas != nil {
 					rmeta = metas[in.A]
 				}
 			}
-			th.local.Instructions += steps
-			epilogue()
-			return v, rmeta, nil
-		case prog.OpCheckAccess:
-			kind := rt.Read
-			if in.Has(prog.FlagWrite) {
-				kind = rt.Write
-			}
-			var meta rt.PtrMeta
-			if metas != nil {
-				meta = metas[in.A]
-			}
-			size := in.Size
-			if in.B != prog.NoReg {
-				size = int64(regs[in.B])
-			}
-			th.local.ChecksExecuted++
-			var v *rt.Violation
-			if obsv := m.opts.CheckObserver; obsv != nil {
-				t0 := time.Now()
-				v = run.Check(regs[in.A], meta, in.Off, size, kind)
-				obsv.ObserveCheck(fn.Name, pc, size, time.Since(t0))
-			} else {
-				v = run.Check(regs[in.A], meta, in.Off, size, kind)
-			}
-			if v != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
-			}
-			// Fused superinstruction: execute the guarded access in the same
-			// dispatch. Semantics, PCs and step accounting are identical to
-			// the unfused pair — the access instruction is executed verbatim
-			// and counted as its own step.
-			if fn.Fused != nil && fn.Fused[pc] != prog.FuseNone {
-				nin := &code[pc+1]
-				steps++
-				addr := (regs[nin.A] & mask) + uint64(nin.Off)
-				if fn.Fused[pc] == prog.FuseLoad {
-					v, f := m.space.Load(addr, nin.Size)
-					if f != nil {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{fault: f}
-					}
-					regs[nin.Dst] = v
-				} else {
-					if f := m.space.Store(addr, nin.Size, regs[nin.B]); f != nil {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{fault: f}
-					}
-				}
-				pc += 2
-				continue
-			}
-		case prog.OpCheckPeriodic:
+			pc++ // count the ret itself
+			break loop
+
+		case prog.ExecCheckPeriodic:
 			// Grouped monotonic check (§II.F.1, Figure 4a): fire every
 			// check_step-th iteration, widened to cover the elements until
 			// the next firing, clamped at the loop limit.
@@ -452,75 +462,174 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 					elems = ceiling
 				}
 				if elems > 0 {
-					kind := rt.Read
-					if in.Has(prog.FlagWrite) {
-						kind = rt.Write
-					}
 					var meta rt.PtrMeta
 					if metas != nil {
 						meta = metas[in.Args[0]]
 					}
-					th.local.ChecksExecuted++
-					var v *rt.Violation
-					if obsv := m.opts.CheckObserver; obsv != nil {
-						t0 := time.Now()
-						v = run.Check(regs[in.Args[0]], meta, 0, elems*in.Size, kind)
-						obsv.ObserveCheck(fn.Name, pc, elems*in.Size, time.Since(t0))
-					} else {
-						v = run.Check(regs[in.Args[0]], meta, 0, elems*in.Size, kind)
-					}
-					if v != nil {
-						epilogue()
-						return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
+					if a := th.checkRange(regs[in.Args[0]], meta, 0, elems*in.Size, in.Has(prog.FlagWrite), fn, pc); a != nil {
+						ab = a
+						break loop
 					}
 				}
 			}
-		case prog.OpSubPtr:
-			ptr, meta := run.SubPtr(regs[in.A], in.Off, in.Size)
+		case prog.ExecSubPtr:
+			ptr, meta := m.san.Runtime.SubPtr(regs[in.A], in.Off, in.Size)
 			regs[in.Dst] = ptr
 			if metas != nil {
 				metas[in.Dst] = meta
 			}
 			th.local.SubPtrOps++
-		case prog.OpSubRelease:
-			run.SubRelease(regs[in.A])
+		case prog.ExecSubRelease:
+			m.san.Runtime.SubRelease(regs[in.A])
 			th.local.SubPtrOps++
-		case prog.OpStripPtr:
-			raw, v := run.PrepareExternArg(regs[in.A])
+		case prog.ExecStripPtr:
+			raw, v := m.san.Runtime.PrepareExternArg(regs[in.A])
 			if v != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
+				ab = th.report(v, fn.Name, pc)
+				break loop
 			}
 			regs[in.Dst] = raw
-		case prog.OpRetagPtr:
+		case prog.ExecRetagPtr:
 			regs[in.Dst] = (regs[in.A] & mask) | (regs[in.B] &^ mask)
-		case prog.OpPtrMetaCopy:
+		case prog.ExecPtrMetaCopy:
 			if metas != nil {
 				metas[in.Dst] = metas[in.A]
 				th.local.MetaOps++
 			}
-		case prog.OpPtrMetaLoad:
+		case prog.ExecPtrMetaLoad:
 			if metas != nil {
-				addr := (regs[in.A] & mask) + uint64(in.Off)
-				metas[in.Dst] = run.LoadPtrMeta(addr)
+				metas[in.Dst] = m.san.Runtime.LoadPtrMeta((regs[in.A] & mask) + uint64(in.Off))
 				th.local.MetaOps++
 			}
-		case prog.OpPtrMetaStore:
+		case prog.ExecPtrMetaStore:
 			if metas != nil {
-				addr := (regs[in.A] & mask) + uint64(in.Off)
-				run.StorePtrMeta(addr, metas[in.B])
+				m.san.Runtime.StorePtrMeta((regs[in.A]&mask)+uint64(in.Off), metas[in.B])
 				th.local.MetaOps++
 			}
 		default:
-			epilogue()
-			return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: invalid opcode %v at %s@%d", in.Op, fn.Name, pc)}
+			ab = &abort{err: fmt.Errorf("interp: invalid opcode %v at %s@%d", in.Op, fn.Name, pc)}
+			break loop
 		}
 		pc++
+		continue
+
+	cmpBr:
+		// in is the comparison of a compare-and-branch pair; its tail
+		// OpCondBr tests exactly the register the comparison writes.
+		regs[in.Dst] = b2u(taken)
+		if !taken {
+			pc += 2
+			continue
+		}
+		pc, in = pc+1, &code[pc+1]
+	jump:
+		// in is the taken branch at pc, which ends the straight-line run.
+		// A backward target is a loop backedge: charge the budget and
+		// honour aborts there.
+		steps += int64(pc - seg + 1)
+		tgt := int(in.Imm)
+		if tgt <= pc {
+			if a := th.backedge(steps); a != nil {
+				ab = a
+				break loop
+			}
+			steps = 0
+		}
+		pc, seg = tgt, tgt
 	}
-	// Fell off the end (validator prevents this for authored programs).
+
+	if ab == nil {
+		// Returned (pc is past the ret), or fell off the end (the validator
+		// prevents that for authored programs). An aborted frame's steps
+		// since its last backedge are not counted.
+		th.local.Instructions += steps + int64(pc-seg)
+	}
+	// Epilogue: release the frame's tracked stack objects' metadata and
+	// pop the frame, returning the register window to the arena.
+	for _, ob := range th.tracked[trackMark:] {
+		m.san.Runtime.StackRelease(ob.ptr, ob.size)
+	}
+	th.tracked = th.tracked[:trackMark]
+	th.stack.Release(frameMark)
+	th.frameBase = arenaMark
+	if ab != nil {
+		return 0, rt.PtrMeta{}, ab
+	}
+	return ret, rmeta, nil
+}
+
+// b2u converts a comparison result to the 0/1 word OpCmp writes.
+func b2u(t bool) uint64 {
+	if t {
+		return 1
+	}
+	return 0
+}
+
+// propagateMeta applies SoftBound's pointer-arithmetic rule to an add or
+// sub: pointer ± integer keeps the operand's per-pointer metadata, so an
+// interior pointer built by register arithmetic carries provenance into
+// Free/Check. Scalar operands carry zero metadata, so plain integer
+// arithmetic stays metadata-free.
+func propagateMeta(metas []rt.PtrMeta, in *prog.Instr) {
+	if ma := metas[in.A]; ma.Valid() {
+		metas[in.Dst] = ma
+	} else if mb := metas[in.B]; mb.Valid() {
+		metas[in.Dst] = mb
+	}
+}
+
+// backedge charges the steps run since the previous backedge against the
+// budget and returns the abort when the thread must stop there: the budget
+// is spent, or the machine was interrupted or aborted by another thread.
+// Every loop backedge goes through it, whichever branch closes the loop.
+func (th *thread) backedge(steps int64) *abort {
+	th.budget -= steps
 	th.local.Instructions += steps
-	epilogue()
-	return 0, rt.PtrMeta{}, nil
+	if th.budget <= 0 {
+		return &abort{err: ErrInstructionBudget}
+	}
+	if th.m.aborted.Load() {
+		return th.abortCause()
+	}
+	return nil
+}
+
+// check runs the sanitizer check of the OpCheckAccess in at pc.
+func (th *thread) check(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn *prog.Func, pc int) *abort {
+	var meta rt.PtrMeta
+	if metas != nil {
+		meta = metas[in.A]
+	}
+	size := in.Size
+	if in.B != prog.NoReg {
+		size = int64(regs[in.B])
+	}
+	return th.checkRange(regs[in.A], meta, in.Off, size, in.Has(prog.FlagWrite), fn, pc)
+}
+
+// checkRange asks the runtime to check an access of size bytes at ptr+off,
+// timing it for the check observer when one is attached, and turns a
+// violation into the report of the check at fn@pc.
+func (th *thread) checkRange(ptr uint64, meta rt.PtrMeta, off, size int64, write bool, fn *prog.Func, pc int) *abort {
+	kind := rt.Read
+	if write {
+		kind = rt.Write
+	}
+	th.local.ChecksExecuted++
+	run := th.m.san.Runtime
+	var v *rt.Violation
+	if obsv := th.m.opts.CheckObserver; obsv != nil {
+		t0 := time.Now()
+		v = run.Check(ptr, meta, off, size, kind)
+		obsv.ObserveCheck(fn.Name, pc, size, time.Since(t0))
+	} else {
+		v = run.Check(ptr, meta, off, size, kind)
+	}
+	if v != nil {
+		return th.report(v, fn.Name, pc)
+	}
+	return nil
 }
 
 // errAbortedElsewhere stops sibling threads after another thread reported.
@@ -555,10 +664,10 @@ func (th *thread) parFor(in *prog.Instr, regs []uint64, depth int) *abort {
 	if hi <= lo {
 		return nil
 	}
-	fn, ok := m.program.Funcs[in.Sym]
-	if !ok {
+	if uint32(in.Ref) >= uint32(len(m.callees)) {
 		return &abort{err: fmt.Errorf("interp: undefined parfor body %q", in.Sym)}
 	}
+	fn := m.callees[in.Ref]
 	if workers < 1 {
 		workers = 1
 	}
@@ -598,15 +707,19 @@ func (th *thread) parFor(in *prog.Instr, regs []uint64, depth int) *abort {
 			}
 			wt := &thread{m: m, stack: stack, budget: th.budget}
 			defer wt.flushStats()
+			// call copies its arguments into the callee's frame first
+			// thing, so one argument slot serves every iteration.
+			arg := []uint64{0}
+			var am []rt.PtrMeta
+			if m.trackMeta {
+				am = []rt.PtrMeta{{}}
+			}
 			for i := start; i < end; i++ {
 				if m.aborted.Load() {
 					return
 				}
-				var am []rt.PtrMeta
-				if m.trackMeta {
-					am = []rt.PtrMeta{{}}
-				}
-				if _, _, ab := wt.call(fn, []uint64{uint64(i)}, am, depth+1); ab != nil {
+				arg[0] = uint64(i)
+				if _, _, ab := wt.call(fn, arg, am, depth+1); ab != nil {
 					if ab.err != errAbortedElsewhere {
 						aborts[w] = ab
 					}

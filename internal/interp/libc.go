@@ -500,7 +500,9 @@ func (th *thread) callExternal(in *prog.Instr, regs []uint64, metas []rt.PtrMeta
 	mask := m.addrMask
 	run := m.san.Runtime
 
-	raw := make([]uint64, len(in.Args))
+	// The argument buffer is free here: it only carries arguments from a
+	// call site into the callee's frame.
+	raw := th.argBuf(len(in.Args))
 	for i, a := range in.Args {
 		// The §II.E wrapper: check and strip every pointer-looking argument.
 		// The machine treats every argument of an external call as a

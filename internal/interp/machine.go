@@ -160,13 +160,13 @@ type Resources struct {
 	Heap    *alloc.Heap
 	Globals *alloc.Globals
 
-	// globalPtr/globalMeta back the machine's Global Pointer Table. They
-	// live here — not on the machine — so pooled reuse recycles the map
-	// storage: NewOn repopulates the cleared maps instead of allocating two
-	// fresh ones per run, which was the dominant setup cost left in the
-	// machine-construction path.
-	globalPtr  map[string]uint64
-	globalMeta map[string]rt.PtrMeta
+	// globalPtr/globalMeta back the machine's Global Pointer Table,
+	// indexed like the program's Globals (the Ref of its OpGlobalAddr
+	// instructions). They live here — not on the machine — so pooled reuse
+	// recycles their storage: NewOn refills them for its program instead of
+	// allocating two fresh tables per run.
+	globalPtr  []uint64
+	globalMeta []rt.PtrMeta
 }
 
 // NewResources allocates a fresh resource bundle for the given canonical
@@ -177,11 +177,9 @@ func NewResources(addrBits uint) (*Resources, error) {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
 	return &Resources{
-		Space:      space,
-		Heap:       alloc.NewHeap(),
-		Globals:    alloc.NewGlobals(),
-		globalPtr:  make(map[string]uint64, 8),
-		globalMeta: make(map[string]rt.PtrMeta, 8),
+		Space:   space,
+		Heap:    alloc.NewHeap(),
+		Globals: alloc.NewGlobals(),
 	}, nil
 }
 
@@ -191,8 +189,8 @@ func (r *Resources) Reset() {
 	r.Space.Reset()
 	r.Heap.Reset()
 	r.Globals.Reset()
-	clear(r.globalPtr)
-	clear(r.globalMeta)
+	r.globalPtr = r.globalPtr[:0]
+	r.globalMeta = r.globalMeta[:0]
 }
 
 // Machine executes one instrumented program under one sanitizer runtime.
@@ -207,13 +205,17 @@ type Machine struct {
 
 	// addrMask clears tag bits when forming raw addresses; ^0 when the
 	// sanitizer does not tag pointers.
-	addrMask uint64
+	addrMask  uint64
 	trackMeta bool // per-pointer metadata frames enabled (SoftBound)
 
+	// callees is the program's callee table, indexed by call Refs.
+	callees []*prog.Func
+
 	// globalPtr is the program-visible pointer for each global: the Global
-	// Pointer Table (§II.C.3). For tracked globals the value is tagged.
-	globalPtr map[string]uint64
-	globalMeta map[string]rt.PtrMeta
+	// Pointer Table (§II.C.3), indexed like the program's Globals. For
+	// tracked globals the value is tagged.
+	globalPtr  []uint64
+	globalMeta []rt.PtrMeta
 
 	opts Options
 
@@ -283,21 +285,17 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 	if got := res.Space.AddrBits(); got != opts.AddrBits {
 		return nil, fmt.Errorf("interp: resource space has %d address bits, machine wants %d", got, opts.AddrBits)
 	}
-	if res.globalPtr == nil {
-		// Bundles predating the pooled maps (zero-value Resources): behave
-		// like a fresh bundle.
-		res.globalPtr = make(map[string]uint64, len(p.Globals))
-		res.globalMeta = make(map[string]rt.PtrMeta, len(p.Globals))
+	if len(p.Callees()) != len(p.Order) {
+		return nil, fmt.Errorf("interp: program is not resolved (build it with prog.Build, or call Resolve after rewriting it)")
 	}
 	m := &Machine{
-		program:    p,
-		san:        san,
-		space:      res.Space,
-		heap:       res.Heap,
-		globals:    res.Globals,
-		globalPtr:  res.globalPtr,
-		globalMeta: res.globalMeta,
-		opts:       opts,
+		program: p,
+		san:     san,
+		space:   res.Space,
+		heap:    res.Heap,
+		globals: res.Globals,
+		callees: p.Callees(),
+		opts:    opts,
 	}
 	m.rngState.Store(opts.Seed)
 	m.addrMask = ^uint64(0)
@@ -306,6 +304,7 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 	}
 	m.trackMeta = san.Profile.PtrMeta
 
+	res.globalPtr, res.globalMeta = res.globalPtr[:0], res.globalMeta[:0]
 	env := rt.Env{Space: m.space, Heap: m.heap, Globals: m.globals}
 	if err := san.Runtime.Attach(&env); err != nil {
 		return nil, fmt.Errorf("interp: attach %s: %w", san.Runtime.Name(), err)
@@ -335,9 +334,10 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 			}
 		}
 		ptr, meta := san.Runtime.GlobalInit(g.Name, addr, g.Type.Size(), tracked)
-		m.globalPtr[g.Name] = ptr
-		m.globalMeta[g.Name] = meta
+		res.globalPtr = append(res.globalPtr, ptr)
+		res.globalMeta = append(res.globalMeta, meta)
 	}
+	m.globalPtr, m.globalMeta = res.globalPtr, res.globalMeta
 	return m, nil
 }
 

@@ -1,8 +1,8 @@
 package interp
 
 import (
-	"fmt"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -600,13 +600,14 @@ func TestNewOnResetReproducesFreshRun(t *testing.T) {
 	}
 }
 
-// TestPooledResourcesGlobalTableIsolation pins the map-pooling contract of
-// Resources: the Global Pointer Table maps live on the bundle and are
+// TestPooledResourcesGlobalTableIsolation pins the pooling contract of
+// Resources: the Global Pointer Table slices live on the bundle and are
 // recycled across machines, so a machine built on freshly Reset resources
 // must see exactly its own program's globals — never stale entries from the
-// previous occupant.
+// previous occupant, which here had more globals than its successor.
 func TestPooledResourcesGlobalTableIsolation(t *testing.T) {
 	pb1 := prog.NewProgram()
+	pb1.GlobalInit("first_in_p1", prog.Int(), 10)
 	pb1.GlobalInit("only_in_p1", prog.Int(), 11)
 	f1 := pb1.Function("main", 0)
 	f1.Ret(f1.Load(f1.GlobalAddr("only_in_p1"), 0, prog.Int()))
@@ -634,8 +635,13 @@ func TestPooledResourcesGlobalTableIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewOn p2: %v", err)
 	}
-	if _, stale := m2.globalPtr["only_in_p1"]; stale {
-		t.Fatal("global table leaked an entry from the previous pooled machine")
+	def, ok := m2.globals.Lookup("only_in_p2")
+	if !ok {
+		t.Fatal("p2's global was not laid out")
+	}
+	if len(m2.globalPtr) != 1 || len(m2.globalMeta) != 1 || m2.globalPtr[0] != def.Addr {
+		t.Fatalf("global table = %#x (%d metas), want exactly [%#x]: stale entries from the previous pooled machine",
+			m2.globalPtr, len(m2.globalMeta), def.Addr)
 	}
 	if got := m2.Run(); got.Ret != 22 {
 		t.Fatalf("p2 Ret = %d, want 22", got.Ret)

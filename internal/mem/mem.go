@@ -137,10 +137,15 @@ func (s *Space) TouchedBytes() int64 { return s.touched.Load() * ChunkSize }
 // hook vetoes the materialization (injected mmap failure): callers turn that
 // into an injected Fault.
 func (s *Space) chunkFor(addr uint64) *chunk {
-	idx := addr >> ChunkBits
-	if c := s.chunks[idx].Load(); c != nil {
+	if c := s.chunks[addr>>ChunkBits].Load(); c != nil {
 		return c
 	}
+	return s.materialize(addr >> ChunkBits)
+}
+
+// materialize is chunkFor's first-touch path. Load and Store inline
+// chunkFor's fast path and call it directly.
+func (s *Space) materialize(idx uint64) *chunk {
 	if hook := s.faultHook.Load(); hook != nil && (*hook)() {
 		return nil
 	}
@@ -237,9 +242,11 @@ func (s *Space) Load(addr uint64, size int64) (uint64, *Fault) {
 	}
 	off := addr & chunkMask
 	if off+uint64(size) <= ChunkSize {
-		c := s.chunkFor(addr)
+		c := s.chunks[addr>>ChunkBits].Load()
 		if c == nil {
-			return 0, &Fault{Addr: addr, Size: size, Injected: true}
+			if c = s.materialize(addr >> ChunkBits); c == nil {
+				return 0, &Fault{Addr: addr, Size: size, Injected: true}
+			}
 		}
 		switch size {
 		case 1:
@@ -272,9 +279,11 @@ func (s *Space) Store(addr uint64, size int64, val uint64) *Fault {
 	}
 	off := addr & chunkMask
 	if off+uint64(size) <= ChunkSize {
-		c := s.chunkFor(addr)
+		c := s.chunks[addr>>ChunkBits].Load()
 		if c == nil {
-			return &Fault{Addr: addr, Size: size, Wr: true, Injected: true}
+			if c = s.materialize(addr >> ChunkBits); c == nil {
+				return &Fault{Addr: addr, Size: size, Wr: true, Injected: true}
+			}
 		}
 		s.noteDirty(addr>>ChunkBits, int64(off)+size)
 		switch size {
@@ -344,16 +353,67 @@ func (s *Space) WriteBytes(addr uint64, b []byte) *Fault {
 }
 
 // Copy moves n bytes from src to dst within the space, handling overlap like
-// memmove does.
+// memmove does. It allocates nothing: every source chunk is mapped first
+// (a failure there is a read fault, with nothing written), then the
+// destination chunks in address order, and the bytes move chunk segment by
+// chunk segment in the direction overlap requires. When a destination
+// chunk cannot be mapped, the bytes before it are written, as a
+// read-everything-then-write copy would have written them.
 func (s *Space) Copy(dst, src uint64, n int64) *Fault {
 	if n <= 0 {
 		return nil
 	}
-	b, f := s.ReadBytes(src, n)
-	if f != nil {
-		return f
+	if !s.inSpan(src, n) {
+		return &Fault{Addr: src, Size: n}
 	}
-	return s.WriteBytes(dst, b)
+	for a := src; a < src+uint64(n); a = (a | chunkMask) + 1 {
+		if s.chunkFor(a) == nil {
+			return &Fault{Addr: a, Size: n, Injected: true}
+		}
+	}
+	if !s.inSpan(dst, n) {
+		return &Fault{Addr: dst, Size: n, Wr: true}
+	}
+	moved := n
+	var fault *Fault
+	for a := dst; a < dst+uint64(n); a = (a | chunkMask) + 1 {
+		if s.chunkFor(a) == nil {
+			moved = int64(a - dst)
+			fault = &Fault{Addr: a, Size: n, Wr: true, Injected: true}
+			break
+		}
+	}
+	s.move(dst, src, moved)
+	return fault
+}
+
+// move copies n bytes from src to dst, both ranges already mapped, with
+// memmove semantics. Each step copies one segment that lies within a
+// single source chunk and a single destination chunk. The builtin copy is
+// itself a memmove, so a segment may overlap itself; walking segments
+// backwards when dst is above an overlapping src keeps every step from
+// overwriting source bytes a later step still reads.
+func (s *Space) move(dst, src uint64, n int64) {
+	seg := func(d, r uint64, k int64) {
+		dc, sc := s.chunks[d>>ChunkBits].Load(), s.chunks[r>>ChunkBits].Load()
+		copy(dc[d&chunkMask:int64(d&chunkMask)+k], sc[r&chunkMask:])
+		s.noteDirty(d>>ChunkBits, int64(d&chunkMask)+k)
+	}
+	if dst > src && dst < src+uint64(n) {
+		for end := n; end > 0; {
+			// The segment ends at offset end and starts at the later of
+			// the two chunk starts below it.
+			k := min(end, int64((src+uint64(end)-1)&chunkMask)+1, int64((dst+uint64(end)-1)&chunkMask)+1)
+			end -= k
+			seg(dst+uint64(end), src+uint64(end), k)
+		}
+		return
+	}
+	for done := int64(0); done < n; {
+		k := min(n-done, ChunkSize-int64((src+uint64(done))&chunkMask), ChunkSize-int64((dst+uint64(done))&chunkMask))
+		seg(dst+uint64(done), src+uint64(done), k)
+		done += k
+	}
 }
 
 // Set fills n bytes starting at addr with byte v.

@@ -334,6 +334,86 @@ func TestCopyMatchesGoCopy(t *testing.T) {
 	}
 }
 
+// TestCopyOverlapAcrossChunkBoundary pins memmove semantics for
+// overlapping copies whose ranges straddle chunk boundaries in both
+// directions, at distances below, at and above a chunk, against a
+// read-everything-then-write model. Copy must also allocate nothing.
+func TestCopyOverlapAcrossChunkBoundary(t *testing.T) {
+	const base = 0x30000 - 3*ChunkSize/2 // regions span several chunks
+	const span = 4 * ChunkSize
+	cases := []struct {
+		name     string
+		dst, src uint64
+		n        int64
+	}{
+		{"forward by 1 across one boundary", ChunkSize/2 + 1, ChunkSize / 2, ChunkSize},
+		{"backward by 1 across one boundary", ChunkSize / 2, ChunkSize/2 + 1, ChunkSize},
+		{"forward by 7, unaligned", ChunkSize/2 - 5, ChunkSize/2 - 12, 2*ChunkSize + 3},
+		{"backward by 7, unaligned", ChunkSize/2 - 12, ChunkSize/2 - 5, 2*ChunkSize + 3},
+		{"forward by a chunk minus 1", ChunkSize - 1 + 100, 100, ChunkSize + 50},
+		{"forward by exactly a chunk", ChunkSize + 100, 100, 2 * ChunkSize},
+		{"backward by exactly a chunk", 100, ChunkSize + 100, 2 * ChunkSize},
+		{"self copy", ChunkSize - 10, ChunkSize - 10, 40},
+		{"disjoint", 3 * ChunkSize, 10, ChunkSize / 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSpace(t)
+			ref := make([]byte, span)
+			for i := range ref {
+				ref[i] = byte(i*7 + i>>8)
+			}
+			if f := s.WriteBytes(base, ref); f != nil {
+				t.Fatalf("WriteBytes: %v", f)
+			}
+			if f := s.Copy(base+tc.dst, base+tc.src, tc.n); f != nil {
+				t.Fatalf("Copy: %v", f)
+			}
+			snapshot := append([]byte(nil), ref[tc.src:int64(tc.src)+tc.n]...)
+			copy(ref[tc.dst:], snapshot)
+			got, f := s.ReadBytes(base, span)
+			if f != nil {
+				t.Fatalf("ReadBytes: %v", f)
+			}
+			if !bytes.Equal(got, ref) {
+				for i := range got {
+					if got[i] != ref[i] {
+						t.Fatalf("first difference at offset %#x: got %#x, want %#x", i, got[i], ref[i])
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { s.Copy(base+tc.dst, base+tc.src, tc.n) }); allocs != 0 {
+				t.Fatalf("Copy allocates %v times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestCopyInjectedFaultOrder pins Copy's behaviour under the mapping fault
+// hook: source chunks map before destination chunks, and a destination
+// chunk that cannot be mapped leaves the bytes before it copied.
+func TestCopyInjectedFaultOrder(t *testing.T) {
+	s := newSpace(t)
+	const src, dst, n = ChunkSize - 4, 5*ChunkSize - 4, 8
+	if f := s.WriteBytes(src, []byte("ABCDEFGH")); f != nil {
+		t.Fatalf("WriteBytes: %v", f)
+	}
+	maps := 0
+	s.SetFaultHook(func() bool {
+		maps++
+		return maps == 2 // the destination's second chunk
+	})
+	f := s.Copy(dst, src, n)
+	if f == nil || !f.Injected || !f.Wr || f.Addr != 5*ChunkSize || f.Size != n {
+		t.Fatalf("Copy fault = %+v, want injected write fault at %#x", f, 5*ChunkSize)
+	}
+	s.SetFaultHook(nil)
+	got, rf := s.ReadBytes(dst, 4)
+	if rf != nil || string(got) != "ABCD" {
+		t.Fatalf("bytes before the failed chunk = %q (%v), want \"ABCD\"", got, rf)
+	}
+}
+
 func BenchmarkLoad8(b *testing.B) {
 	s, _ := NewSpace(47)
 	s.Store(0x1000, 8, 42)

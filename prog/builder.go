@@ -51,7 +51,8 @@ func (pb *ProgramBuilder) Function(name string, numParams int) *FuncBuilder {
 	return fb
 }
 
-// Build finalizes all functions, validates the program, and returns it.
+// Build finalizes all functions, validates and resolves the program, and
+// returns it.
 func (pb *ProgramBuilder) Build() (*Program, error) {
 	for _, fb := range pb.fbs {
 		if _, dup := pb.prog.Funcs[fb.fn.Name]; dup {
@@ -70,6 +71,7 @@ func (pb *ProgramBuilder) Build() (*Program, error) {
 	if err := Validate(pb.prog); err != nil {
 		return nil, err
 	}
+	pb.prog.Resolve(true)
 	return pb.prog, nil
 }
 

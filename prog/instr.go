@@ -21,12 +21,12 @@ type Op uint8
 const (
 	OpInvalid Op = iota
 
-	OpConst // Dst = Imm
-	OpMov   // Dst = A
-	OpBin   // Dst = A <binop X> B
-	OpCmp   // Dst = (A <pred X> B) ? 1 : 0
-	OpBr    // pc = Imm
-	OpCondBr// if A != 0 { pc = Imm } else fall through
+	OpConst  // Dst = Imm
+	OpMov    // Dst = A
+	OpBin    // Dst = A <binop X> B
+	OpCmp    // Dst = (A <pred X> B) ? 1 : 0
+	OpBr     // pc = Imm
+	OpCondBr // if A != 0 { pc = Imm } else fall through
 
 	OpAlloca     // Dst = &stack object of Type (Size bytes)
 	OpMalloc     // Dst = malloc(A); if A == NoReg, malloc(Size)
@@ -56,10 +56,10 @@ const (
 	// Imm = start, Off = step*checkStep (the firing modulus), X = step,
 	// Size = element size in bytes, FlagWrite selects the access kind.
 	OpCheckPeriodic
-	OpSubPtr      // Dst = sanitizer-narrowed sub-object pointer of A at [Off, Off+Size)
-	OpSubRelease  // release sub-object metadata of A
-	OpStripPtr    // Dst = strip(A): remove tag bits
-	OpRetagPtr    // Dst = retag(A with tag of B)
+	OpSubPtr     // Dst = sanitizer-narrowed sub-object pointer of A at [Off, Off+Size)
+	OpSubRelease // release sub-object metadata of A
+	OpStripPtr   // Dst = strip(A): remove tag bits
+	OpRetagPtr   // Dst = retag(A with tag of B)
 
 	OpPtrMetaCopy  // per-pointer metadata: meta[Dst] = meta[A] (SoftBound)
 	OpPtrMetaLoad  // per-pointer metadata: meta[Dst] = shadow[A+Off] (after pointer load)
@@ -140,19 +140,25 @@ const (
 // Instr is one IR instruction. The operand meaning depends on Op; see the
 // opcode constants. Instr is a value type: programs are flat []Instr slices
 // for interpreter cache friendliness.
+//
+// Exec and Ref are the resolved form (see Resolve). They sit in what would
+// otherwise be alignment padding, so an Instr stays 96 bytes and a cached
+// program carries its resolved form at no extra cost.
 type Instr struct {
-	Op   Op
-	X    uint8 // BinOp, CmpPred, or check-kind discriminator
-	Dst  Reg
-	A    Reg
-	B    Reg
-	Imm  int64
-	Off  int64
-	Size int64
-	Type *Type
-	Sym  string
-	Args []Reg
+	Op    Op
+	X     uint8  // BinOp, CmpPred, or check-kind discriminator
+	Exec  ExecOp // resolved execution opcode; derived, not fingerprinted
+	Dst   Reg
+	A     Reg
+	B     Reg
+	Imm   int64
+	Off   int64
+	Size  int64
+	Type  *Type
+	Sym   string
+	Args  []Reg
 	Flags Flag
+	Ref   int32 // resolved callee (OpCall, OpParFor) or global (OpGlobalAddr) index; derived
 }
 
 // Has reports whether all bits of f are set.
@@ -168,12 +174,12 @@ type Loop struct {
 	// conditional branch). BodyStart..BodyEnd is the body, excluding the
 	// induction-variable increment and back edge, which occupy
 	// BodyEnd..LatchEnd.
-	HeadStart, HeadEnd   int
-	BodyStart, BodyEnd   int
-	LatchEnd             int
-	IndVar               Reg
-	Start, Limit         Operand
-	Step                 int64
+	HeadStart, HeadEnd int
+	BodyStart, BodyEnd int
+	LatchEnd           int
+	IndVar             Reg
+	Start, Limit       Operand
+	Step               int64
 }
 
 // Operand is either a constant or a register, used in Loop facts.
@@ -197,19 +203,6 @@ func (o Operand) String() string {
 	return fmt.Sprintf("r%d", o.Reg)
 }
 
-// FuseKind classifies a fused superinstruction rooted at one instruction.
-type FuseKind uint8
-
-// Fusion kinds. A check fused with its guarded access executes both in one
-// dispatch; the instruction stream itself is unchanged (PCs, and therefore
-// violation reports and branch targets, are stable), so fusion is a pure
-// dispatch-layer specialization recorded in a side table.
-const (
-	FuseNone  FuseKind = iota
-	FuseLoad           // OpCheckAccess immediately followed by OpLoad
-	FuseStore          // OpCheckAccess immediately followed by OpStore
-)
-
 // Func is one IR function: a flat instruction slice with branch targets as
 // instruction indices, plus the builder-recorded loop facts.
 type Func struct {
@@ -223,13 +216,8 @@ type Func struct {
 	// object safety analysis.
 	Allocas []int
 
-	// Fused, when non-nil, is the superinstruction side table: Fused[pc]
-	// describes the fusion rooted at Code[pc]. It is derived (instrument
-	// populates it after the check-optimization passes), excluded from the
-	// fingerprint, and semantically transparent: a branch into the middle of
-	// a fused pair executes the plain tail instruction, exactly as unfused
-	// code would.
-	Fused []FuseKind
+	// index is the function's slot in its program's callee table.
+	index int32
 }
 
 // GlobalSpec declares a program global.
@@ -258,10 +246,16 @@ type Program struct {
 	// every cache lookup; programs are immutable once built, so the hash is
 	// computed once. Clone deliberately leaves the copy's memo empty.
 	fp atomic.Pointer[Fingerprint]
+
+	// callees is the callee table: the functions in Order, indexed by the
+	// Ref of OpCall and OpParFor instructions.
+	callees []*Func
 }
 
 // Clone returns a deep copy of the program that instrumentation may rewrite
-// freely.
+// freely. The copy keeps the resolved form of every instruction and gets its
+// own callee table, so it runs as is; a pass that rewrites code calls
+// Resolve again before publishing the result.
 func (p *Program) Clone() *Program {
 	np := &Program{
 		Funcs:   make(map[string]*Func, len(p.Funcs)),
@@ -277,7 +271,7 @@ func (p *Program) Clone() *Program {
 			Code:      append([]Instr(nil), f.Code...),
 			Loops:     append([]Loop(nil), f.Loops...),
 			Allocas:   append([]int(nil), f.Allocas...),
-			Fused:     append([]FuseKind(nil), f.Fused...),
+			index:     f.index,
 		}
 		for i := range nf.Code {
 			if nf.Code[i].Args != nil {
@@ -286,5 +280,6 @@ func (p *Program) Clone() *Program {
 		}
 		np.Funcs[name] = nf
 	}
+	np.indexFuncs()
 	return np
 }
