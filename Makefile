@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci perfbench-vet bench-smoke bench-gate serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
+.PHONY: all build test race fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci fuzz-native perfbench-vet bench-smoke bench-gate serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
 
 all: build test
 
@@ -56,6 +56,17 @@ ci:
 	$(MAKE) fuzz-smoke-hardened
 	$(MAKE) fault-smoke
 	$(MAKE) obs-smoke
+
+# Native Go fuzzing of the untrusted-input boundaries, a fixed budget per
+# target: csrc.Compile (user .csc sources), traffic.Parse plus stream
+# materialization (workload specs), and the differential oracle over
+# generated programs. Each starts from its committed corpus under
+# testdata/fuzz/; a crasher lands there and fails the target.
+FUZZTIME ?= 15s
+fuzz-native:
+	$(GO) test ./csrc -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) -parallel 2
+	$(GO) test ./internal/traffic -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2
+	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) -parallel 2
 
 # The repository benchmark (perfbench/) is its own module, so `./...`
 # never compiles it: build and vet it here, offline, with the environment

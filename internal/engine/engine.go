@@ -11,15 +11,18 @@
 //     one instrumented program is shared by any number of concurrent
 //     machines. The cache is content-addressed by (profile, Fingerprint),
 //     sharded by fingerprint prefix with single-flight instrumentation (see
-//     Cache), and campaign-global: Options.Cache lets every engine in a
-//     multi-tool campaign share one bounded cache, and Preinstrument warms
-//     it for known case families so the run path never compiles inline.
+//     Cache), and bounded. Options.Cache lets the engines of a multi-tool
+//     campaign share one cache (the fuzzer's, whose every case is new);
+//     Preinstrument warms it for known case families so the run path finds
+//     them cached as long as they fit.
 //
-//   - Pooled execution resources. Address spaces, heaps and globals layouts
-//     are recycled through a sync.Pool via interp.Resources.Reset, which is
-//     byte-identical to fresh construction (same addresses, zeroed pages,
-//     RSS gauge restarted) — detection results and stats cannot change, only
-//     allocation pressure drops. Perf measurement opts out with
+//   - Pooled execution resources. Two sync.Pools recycle the address space,
+//     heap and globals layout together with the interpreter machine and its
+//     main thread's stack, arenas and buffers (interp.Resources), and the
+//     sanitizer bundle. Resources.Reset and rt.Resettable are byte-identical
+//     to fresh construction (same addresses, zeroed pages and shadow, RSS
+//     gauge restarted), so detection results and stats cannot change; a warm
+//     run allocates little beyond its Result. Perf measurement opts out with
 //     Options.FreshRuntime, preserving its fresh-process-per-rep semantics.
 //
 //   - A scheduler. ForEach fans work items across a bounded worker pool and
@@ -110,10 +113,9 @@ type Options struct {
 	// Observability only reads execution state — results are identical with
 	// or without it.
 	Obs *obs.Observer
-	// Cache, when set, is the campaign-global instrumentation cache this
-	// engine shares with others (typically one Cache across all tools of a
-	// Table II campaign). Nil gives the engine a private cache of
-	// DefaultCacheCapacity — the pre-campaign-cache behaviour.
+	// Cache, when set, is an instrumentation cache this engine shares with
+	// others. Nil gives the engine a private cache of DefaultCacheCapacity,
+	// which dies with the engine.
 	Cache *Cache
 	// DisableFusion resolves this engine's instrumented programs without
 	// superinstructions (equivalence testing; fused and unfused execution
@@ -133,7 +135,7 @@ type Engine struct {
 	pid   uint32 // the engine's profile id within the cache
 
 	pool    sync.Pool // *interp.Resources, Reset between uses
-	sanPool sync.Pool // rt.Sanitizer bundles whose runtime is rt.Resettable
+	sanPool sync.Pool // *rt.Sanitizer bundles whose runtime is rt.Resettable
 
 	runs           atomic.Int64
 	cacheHits      atomic.Int64
@@ -383,18 +385,19 @@ func (e *Engine) release(r *interp.Resources) {
 // acquireSanitizer hands out a sanitizer bundle: a recycled one when the
 // pool has one, fresh otherwise (the second return reports which). Only
 // bundles whose runtime implements rt.Resettable ever enter the pool, so a
-// pooled bundle is already back in post-constructor state.
-func (e *Engine) acquireSanitizer() (rt.Sanitizer, bool, error) {
-	if s, ok := e.sanPool.Get().(rt.Sanitizer); ok {
+// pooled bundle is already back in post-constructor state. The pool holds
+// pointers, so recycling a bundle does not allocate.
+func (e *Engine) acquireSanitizer() (*rt.Sanitizer, bool, error) {
+	if s, ok := e.sanPool.Get().(*rt.Sanitizer); ok {
 		return s, true, nil
 	}
 	s, err := e.newSanitizer()
-	return s, false, err
+	return &s, false, err
 }
 
 // releaseSanitizer recycles a bundle when its runtime can be restored to
 // freshly-constructed state; otherwise the bundle is dropped for the GC.
-func (e *Engine) releaseSanitizer(s rt.Sanitizer) {
+func (e *Engine) releaseSanitizer(s *rt.Sanitizer) {
 	if r, ok := s.Runtime.(rt.Resettable); ok {
 		r.ResetRuntime()
 		e.sanPool.Put(s)
@@ -407,13 +410,14 @@ func (e *Engine) releaseSanitizer(s rt.Sanitizer) {
 type Machine struct {
 	eng      *Engine
 	inner    *interp.Machine
-	san      rt.Sanitizer
-	res      *interp.Resources
+	san      *rt.Sanitizer
+	res      *interp.Resources     // nil after Release
 	inj      *faultinject.Injector // nil outside fault mode
 	fresh    bool                  // built for FreshRuntime/retry: never pooled
 	recycled bool                  // runtime or resources came from a pool
-	faulted  bool                  // a panic unwound through this machine
+	discard  bool                  // a panic unwound through it, or a watchdog may still touch it
 	released bool
+	output   []string // the program's output, kept by Release
 
 	lane    int // tracer lane held from Run until Release
 	hasLane bool
@@ -445,7 +449,11 @@ func (e *Engine) planFor(p *prog.Program) faultinject.Plan {
 // sanitizer runtime. Call Release when done with it so pooled resources
 // return to the pool; forgetting Release only costs pool misses.
 func (e *Engine) NewMachine(p *prog.Program) (*Machine, error) {
-	return e.newMachine(p, machineConfig{fresh: e.opts.FreshRuntime})
+	m := &Machine{}
+	if err := e.prepare(m, p, machineConfig{fresh: e.opts.FreshRuntime}); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // machineConfig is the full construction policy for one machine. The zero
@@ -463,9 +471,8 @@ type machineConfig struct {
 	bypassCache bool
 }
 
-// newMachine builds a machine under an explicit construction policy.
-func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error) {
-	fresh := mc.fresh
+// prepare builds m under an explicit construction policy.
+func (e *Engine) prepare(m *Machine, p *prog.Program, mc machineConfig) error {
 	var ip *prog.Program
 	if mc.bypassCache {
 		e.cacheBypasses.Add(1)
@@ -474,34 +481,35 @@ func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error)
 		ip = e.Instrument(p)
 	}
 	var (
-		san      rt.Sanitizer
+		san      *rt.Sanitizer
 		res      *interp.Resources
 		recycled bool
-		err      error
 	)
-	if fresh {
-		san, err = e.newSanitizer()
+	if mc.fresh {
+		s, err := e.newSanitizer()
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return fmt.Errorf("engine: %w", err)
 		}
+		san = &s
 		res, err = interp.NewResources(e.interpOpts.AddrBits)
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return fmt.Errorf("engine: %w", err)
 		}
 	} else {
 		var sanPooled, resPooled bool
+		var err error
 		san, sanPooled, err = e.acquireSanitizer()
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return fmt.Errorf("engine: %w", err)
 		}
 		res, resPooled, err = e.acquire()
 		if err != nil {
 			e.releaseSanitizer(san)
-			return nil, fmt.Errorf("engine: %w", err)
+			return fmt.Errorf("engine: %w", err)
 		}
 		recycled = sanPooled || resPooled
 	}
-	m := &Machine{eng: e, san: san, res: res, fresh: fresh, recycled: recycled}
+	*m = Machine{eng: e, san: san, res: res, fresh: mc.fresh, recycled: recycled}
 	plan := e.planFor(p)
 	if mc.plan != nil {
 		plan = *mc.plan
@@ -517,16 +525,17 @@ func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error)
 		// (global init writes pages through the same space) is harness setup,
 		// and injected faults target the program's own execution.
 	}
-	inner, err := interp.NewOn(res, ip, san, e.interpOpts)
+	inner, err := interp.NewOn(res, ip, *san, e.interpOpts)
 	if err != nil {
-		if !fresh {
+		if !mc.fresh {
 			e.release(res) // Reset also clears the fault hooks
 			e.releaseSanitizer(san)
 		}
-		return nil, fmt.Errorf("engine: %w", err)
+		m.res = nil
+		return fmt.Errorf("engine: %w", err)
 	}
 	m.inner = inner
-	return m, nil
+	return nil
 }
 
 // Feed queues input payloads for the program's fgets/recv calls.
@@ -573,8 +582,15 @@ func (m *Machine) Run() *interp.Result {
 // already recovered inside the interpreter).
 func (m *Machine) runGuarded() (res *interp.Result) {
 	if wb := m.eng.opts.WallBudget; wb > 0 {
-		watchdog := time.AfterFunc(wb, func() { m.inner.Interrupt(interp.ErrWallBudget) })
-		defer watchdog.Stop()
+		inner := m.inner
+		watchdog := time.AfterFunc(wb, func() { inner.Interrupt(interp.ErrWallBudget) })
+		defer func() {
+			if !watchdog.Stop() {
+				// The watchdog fired and may not have returned yet: the
+				// machine must not be rebuilt under it.
+				m.discard = true
+			}
+		}()
 	}
 	defer func() {
 		if v := recover(); v != nil {
@@ -621,7 +637,7 @@ func (m *Machine) classifyFault(res *interp.Result) {
 	default:
 		var pe *interp.PanicError
 		if errors.As(res.Err, &pe) {
-			m.faulted = true
+			m.discard = true
 			fo = &FaultOutcome{Class: FaultPanic, PanicValue: pe.Value, Stack: pe.Stack, Err: pe}
 			if !m.recycled {
 				// First occurrence was already on a never-pooled runtime:
@@ -641,30 +657,43 @@ func (m *Machine) classifyFault(res *interp.Result) {
 }
 
 // Output returns lines the program printed. Valid after Release.
-func (m *Machine) Output() []string { return m.inner.Output() }
+func (m *Machine) Output() []string {
+	if m.released {
+		return append([]string(nil), m.output...)
+	}
+	return m.inner.Output()
+}
 
 // Runtime returns the machine's sanitizer runtime for white-box inspection.
 func (m *Machine) Runtime() rt.Runtime { return m.san.Runtime }
 
-// Release recycles the machine's resources — and, for resettable runtimes,
-// its sanitizer — into the engine pools. The machine must not Run, touch
-// simulated memory, or inspect its Runtime afterwards; Output and the last
-// Result remain valid. Release is idempotent and a no-op in FreshRuntime
-// mode. Fault isolation: a machine through which a panic unwound may hold a
-// runtime with a poisoned lock or half-updated metadata, so its runtime and
-// resources are dropped for the GC instead of pooled.
-func (m *Machine) Release() {
+// Release recycles the machine's resources — with the interpreter machine
+// built on them — and, for resettable runtimes, its sanitizer into the
+// engine pools. The machine must not Run, touch simulated memory, or inspect
+// its Runtime afterwards; Output and the last Result remain valid. Release
+// is idempotent and a no-op in FreshRuntime mode. Fault isolation: a machine
+// through which a panic unwound may hold a runtime with a poisoned lock or
+// half-updated metadata, so its runtime and resources are dropped for the GC
+// instead of pooled.
+func (m *Machine) Release() { m.release(true) }
+
+// release is Release; keepOutput saves the program's output for Output,
+// which the engine's own executions never read.
+func (m *Machine) release(keepOutput bool) {
 	if m.released || m.res == nil {
 		return
 	}
 	m.released = true
+	if keepOutput {
+		m.output = m.inner.Output()
+	}
 	res := m.res
 	m.res = nil
 	t := m.eng.tracer()
 	if m.hasLane {
 		defer t.ReleaseLane(m.lane)
 	}
-	if m.fresh || m.faulted {
+	if m.fresh || m.discard {
 		return
 	}
 	if t != nil && m.hasLane {
@@ -686,7 +715,8 @@ func (e *Engine) execute(p *prog.Program, mc machineConfig, tr *obs.RequestTrace
 	if tr != nil {
 		t0 = time.Now()
 	}
-	m, err := e.newMachine(p, mc)
+	var m Machine
+	err = e.prepare(&m, p, mc)
 	if tr != nil {
 		// Machine construction is where instrumentation happens (cached or
 		// fresh), so the span covers the whole lookup-or-instrument phase.
@@ -704,7 +734,7 @@ func (e *Engine) execute(p *prog.Program, mc machineConfig, tr *obs.RequestTrace
 		tr.Span("run", t0, time.Since(t0))
 		t0 = time.Now()
 	}
-	m.Release()
+	m.release(false)
 	if tr != nil {
 		tr.Span("reset", t0, time.Since(t0))
 	}

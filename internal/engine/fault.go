@@ -78,6 +78,12 @@ func (f *FaultOutcome) Unwrap() error { return f.Err }
 // AsFault extracts the FaultOutcome from a run error, or nil if the error is
 // not (wrapping) one.
 func AsFault(err error) *FaultOutcome {
+	if err == nil {
+		return nil
+	}
+	if fo, ok := err.(*FaultOutcome); ok {
+		return fo
+	}
 	var fo *FaultOutcome
 	if errors.As(err, &fo) {
 		return fo

@@ -142,14 +142,16 @@ var ProgressEvery = 200
 var Obs *obs.Observer
 
 // EvaluateJuliet runs the suite under every listed tool, in parallel across
-// cases. workers <= 0 selects GOMAXPROCS. All tools share one campaign-global
-// instrumentation cache, and each tool's case families are pre-instrumented
-// before its run loop, so the run path never compiles inline.
+// cases. workers <= 0 selects GOMAXPROCS. Each tool gets its own
+// instrumentation cache: tools run one after another and no two share a
+// profile, so a tool's instrumented programs are dead once its run loop ends.
+// Each tool's case families are pre-instrumented before its run loop, and a
+// tool's distinct programs (18,272 at most in the full suite) fit its cache,
+// so the run path finds every program cached.
 func EvaluateJuliet(suite []*juliet.Case, tools []sanitizers.Name, workers int) (*JulietEvaluation, error) {
 	eval := &JulietEvaluation{}
-	cache := engine.NewCache(0)
 	for _, tool := range tools {
-		tr, err := evaluateTool(suite, tool, workers, cache)
+		tr, err := evaluateTool(suite, tool, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -159,11 +161,11 @@ func EvaluateJuliet(suite []*juliet.Case, tools []sanitizers.Name, workers int) 
 }
 
 // evaluateTool runs one tool over its subset of the suite through one
-// engine: the tool's cases share the campaign's instrumentation cache and
-// the engine's resource pool, and fan out across the worker scheduler. The
-// bad and good variants of every case are pre-instrumented (single-flight,
-// across the worker pool) before the run loop starts.
-func evaluateTool(suite []*juliet.Case, tool sanitizers.Name, workers int, cache *engine.Cache) (*ToolResult, error) {
+// engine: the tool's cases share the engine's instrumentation cache and
+// resource pool, and fan out across the worker scheduler. The bad and good
+// variants of every case are pre-instrumented (single-flight, across the
+// worker pool) before the run loop starts.
+func evaluateTool(suite []*juliet.Case, tool sanitizers.Name, workers int) (*ToolResult, error) {
 	include := subsetFor(tool)
 	var cases []*juliet.Case
 	for _, cs := range suite {
@@ -173,7 +175,7 @@ func evaluateTool(suite []*juliet.Case, tool sanitizers.Name, workers int, cache
 	}
 	tr := &ToolResult{Name: tool, Cases: len(cases), PerCWE: make(map[juliet.CWE]CWEStats)}
 
-	eopts := engine.Options{Workers: workers, ProgressEvery: ProgressEvery, Obs: Obs, Cache: cache}
+	eopts := engine.Options{Workers: workers, ProgressEvery: ProgressEvery, Obs: Obs}
 	if Progress != nil {
 		eopts.Progress = func(done, total int) { Progress(tool, done, total) }
 	}
@@ -279,4 +281,3 @@ func FormatTable2(eval *JulietEvaluation) string {
 	b.WriteString("\n")
 	return b.String()
 }
-

@@ -143,3 +143,32 @@ func TestFormatTable1(t *testing.T) {
 		}
 	}
 }
+
+// TestFullSuiteRunsFromCache pins the per-tool cache lifetime: on the full
+// Table II suite every tool's distinct programs fit its own cache, so after
+// the prefill no run-path request misses or overflows. A cache shared by all
+// six tools fills during ASan's prefill and sends later requests to inline
+// instrumentation.
+func TestFullSuiteRunsFromCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table II suite; skipped under -short")
+	}
+	suite, err := juliet.Suite()
+	if err != nil {
+		t.Fatalf("Suite: %v", err)
+	}
+	tools := []sanitizers.Name{
+		sanitizers.CECSan, sanitizers.PACMem, sanitizers.CryptSan,
+		sanitizers.HWASan, sanitizers.ASan, sanitizers.SoftBound,
+	}
+	eval, err := EvaluateJuliet(suite, tools, 0)
+	if err != nil {
+		t.Fatalf("EvaluateJuliet: %v", err)
+	}
+	for _, tr := range eval.Tools {
+		if s := tr.Engine; s.CacheMisses != 0 || s.CacheOverflows != 0 {
+			t.Errorf("%s: %d run-path cache misses and %d overflows (hits %d, prefills %d), want none",
+				tr.Name, s.CacheMisses, s.CacheOverflows, s.CacheHits, s.CachePrefills)
+		}
+	}
+}

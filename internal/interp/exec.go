@@ -46,6 +46,23 @@ type thread struct {
 	tracked  []trackedObj
 
 	local Stats
+
+	// fail holds the abort of a reported violation: a thread stops at its
+	// first report, so one slot serves every run without an allocation.
+	fail abort
+}
+
+// start readies the thread for a run of m: an empty stack, no live frames,
+// zeroed counters and the given instruction budget. The arenas and buffers
+// keep their storage.
+func (th *thread) start(m *Machine, budget int64) {
+	th.m = m
+	th.budget = budget
+	th.stack.Reset()
+	th.frameBase = 0
+	th.tracked = th.tracked[:0]
+	th.local = Stats{}
+	th.fail = abort{}
 }
 
 // frame carves a zeroed register window (and, when per-pointer metadata is
@@ -651,7 +668,8 @@ func (th *thread) report(v *rt.Violation, fnName string, pc int) *abort {
 	v.Func = fnName
 	v.PC = pc
 	th.m.aborted.Store(true)
-	return &abort{violation: v}
+	th.fail = abort{violation: v}
+	return &th.fail
 }
 
 // parFor runs in.Sym over [lo,hi) partitioned across in.Imm OS-level

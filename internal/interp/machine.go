@@ -150,11 +150,13 @@ type Result struct {
 func (r *Result) Ok() bool { return r.Violation == nil && r.Fault == nil && r.Err == nil }
 
 // Resources bundles the reusable per-machine execution state: the simulated
-// address space and the stock allocators. A Resources value is what the
-// engine's machine pool recycles between cases — Reset returns all three to
-// their freshly-constructed state, so a machine built on reset resources
-// behaves byte-identically to one built on fresh ones (same addresses, same
-// zeroed memory, same RSS accounting).
+// address space, the stock allocators, and the machine and main-thread
+// state built on them. A Resources value is what the engine's pool recycles
+// between cases — Reset returns the address space and allocators to their
+// freshly-constructed state, and NewOn and Run rebuild the machine and its
+// main thread in place, so a machine built on reset resources behaves
+// byte-identically to one built on fresh ones (same addresses, same zeroed
+// memory, same RSS accounting) without allocating them again.
 type Resources struct {
 	Space   *mem.Space
 	Heap    *alloc.Heap
@@ -162,11 +164,19 @@ type Resources struct {
 
 	// globalPtr/globalMeta back the machine's Global Pointer Table,
 	// indexed like the program's Globals (the Ref of its OpGlobalAddr
-	// instructions). They live here — not on the machine — so pooled reuse
-	// recycles their storage: NewOn refills them for its program instead of
+	// instructions). NewOn refills them for its program instead of
 	// allocating two fresh tables per run.
 	globalPtr  []uint64
 	globalMeta []rt.PtrMeta
+
+	// env is the environment NewOn attaches the runtime to.
+	env rt.Env
+
+	// machine is the one machine built on this bundle, and main its main
+	// thread: its stack, register and metadata arenas, argument buffers and
+	// tracked-object list keep their storage from run to run.
+	machine Machine
+	main    thread
 }
 
 // NewResources allocates a fresh resource bundle for the given canonical
@@ -176,11 +186,17 @@ func NewResources(addrBits uint) (*Resources, error) {
 	if err != nil {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
-	return &Resources{
+	stack, err := alloc.NewStack(0)
+	if err != nil {
+		return nil, fmt.Errorf("interp: %w", err)
+	}
+	r := &Resources{
 		Space:   space,
 		Heap:    alloc.NewHeap(),
 		Globals: alloc.NewGlobals(),
-	}, nil
+	}
+	r.main.stack = stack
+	return r, nil
 }
 
 // Reset rewinds the bundle for reuse by a new machine. The caller must
@@ -194,7 +210,8 @@ func (r *Resources) Reset() {
 }
 
 // Machine executes one instrumented program under one sanitizer runtime.
-// A Machine is single-run: create a new one for each execution.
+// A Machine is single-run: create a new one for each execution. It lives in
+// its Resources, so NewOn on a reset bundle rebuilds the same Machine value.
 type Machine struct {
 	program *prog.Program
 	san     rt.Sanitizer
@@ -202,6 +219,9 @@ type Machine struct {
 	space   *mem.Space
 	heap    *alloc.Heap
 	globals *alloc.Globals
+
+	// main is the bundle's main thread, reset at the start of Run.
+	main *thread
 
 	// addrMask clears tag bits when forming raw addresses; ^0 when the
 	// sanitizer does not tag pointers.
@@ -219,9 +239,13 @@ type Machine struct {
 
 	opts Options
 
-	// Input feed for fgets/recv (the harness's dummy server).
-	inputMu sync.Mutex
-	inputs  [][]byte
+	// Input feed for fgets/recv (the harness's dummy server): Feed copies
+	// each payload into inputBuf and queues a slice of it; inputNext is the
+	// next payload to hand out.
+	inputMu   sync.Mutex
+	inputs    [][]byte
+	inputBuf  []byte
+	inputNext int
 
 	outputMu sync.Mutex
 	output   []string
@@ -268,7 +292,10 @@ func New(p *prog.Program, san rt.Sanitizer, opts Options) (*Machine, error) {
 
 // NewOn builds a machine on an existing (fresh or freshly Reset) resource
 // bundle. The bundle's address-space width must match opts.AddrBits; the
-// machine takes sole ownership of the bundle until its run completes.
+// machine takes sole ownership of the bundle until its run completes. The
+// machine is the bundle's own: building another on the same bundle (after
+// Reset) reuses it, so a caller must be done with the previous machine —
+// its Result stays valid, its Output does not.
 func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Machine, error) {
 	if opts.MaxInstructions <= 0 {
 		opts.MaxInstructions = DefaultMaxInstructions
@@ -288,14 +315,22 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 	if len(p.Callees()) != len(p.Order) {
 		return nil, fmt.Errorf("interp: program is not resolved (build it with prog.Build, or call Resolve after rewriting it)")
 	}
-	m := &Machine{
-		program: p,
-		san:     san,
-		space:   res.Space,
-		heap:    res.Heap,
-		globals: res.Globals,
-		callees: p.Callees(),
-		opts:    opts,
+	m := &res.machine
+	// Rebuild the machine in place, keeping the storage of its input and
+	// output buffers.
+	inputs, inputBuf, output := m.inputs[:0], m.inputBuf[:0], m.output[:0]
+	*m = Machine{
+		program:  p,
+		san:      san,
+		space:    res.Space,
+		heap:     res.Heap,
+		globals:  res.Globals,
+		main:     &res.main,
+		callees:  p.Callees(),
+		opts:     opts,
+		inputs:   inputs,
+		inputBuf: inputBuf,
+		output:   output,
 	}
 	m.rngState.Store(opts.Seed)
 	m.addrMask = ^uint64(0)
@@ -305,8 +340,8 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 	m.trackMeta = san.Profile.PtrMeta
 
 	res.globalPtr, res.globalMeta = res.globalPtr[:0], res.globalMeta[:0]
-	env := rt.Env{Space: m.space, Heap: m.heap, Globals: m.globals}
-	if err := san.Runtime.Attach(&env); err != nil {
+	res.env = rt.Env{Space: m.space, Heap: m.heap, Globals: m.globals}
+	if err := san.Runtime.Attach(&res.env); err != nil {
 		return nil, fmt.Errorf("interp: attach %s: %w", san.Runtime.Name(), err)
 	}
 
@@ -342,12 +377,17 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 }
 
 // Feed queues input payloads for the program's fgets/recv calls, in order —
-// the dummy-server side of the paper's automation framework.
+// the dummy-server side of the paper's automation framework. The payloads
+// are copied, so the caller may reuse them.
 func (m *Machine) Feed(payloads ...[]byte) {
 	m.inputMu.Lock()
 	defer m.inputMu.Unlock()
 	for _, p := range payloads {
-		m.inputs = append(m.inputs, append([]byte(nil), p...))
+		// A grown buffer leaves earlier payloads in the old array, which
+		// their queued slices keep alive.
+		start := len(m.inputBuf)
+		m.inputBuf = append(m.inputBuf, p...)
+		m.inputs = append(m.inputs, m.inputBuf[start:len(m.inputBuf):len(m.inputBuf)])
 	}
 }
 
@@ -355,11 +395,11 @@ func (m *Machine) Feed(payloads ...[]byte) {
 func (m *Machine) nextInput() ([]byte, bool) {
 	m.inputMu.Lock()
 	defer m.inputMu.Unlock()
-	if len(m.inputs) == 0 {
+	if m.inputNext == len(m.inputs) {
 		return nil, false
 	}
-	in := m.inputs[0]
-	m.inputs = m.inputs[1:]
+	in := m.inputs[m.inputNext]
+	m.inputNext++
 	return in, true
 }
 
@@ -430,12 +470,8 @@ func (m *Machine) Run() *Result {
 		res.Err = fmt.Errorf("interp: entry %q not found", m.program.Entry)
 		return res
 	}
-	stack, err := alloc.NewStack(0)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	th := &thread{m: m, stack: stack, budget: m.opts.MaxInstructions}
+	th := m.main
+	th.start(m, m.opts.MaxInstructions)
 	ret, _, ab := th.call(entry, nil, nil, 0)
 	th.flushStats()
 	m.sampleRSS()

@@ -139,17 +139,6 @@ func (f *FlightRecorder) caps() (interesting, sampled int) {
 // trace afterwards.
 func (f *FlightRecorder) Finish(t *RequestTrace, outcome string) {
 	t.Complete(outcome)
-	rec := TraceRecord{
-		TraceID:      t.ID.String(),
-		Class:        t.Class,
-		Index:        t.Index,
-		StartUS:      t.Start.Sub(f.epoch).Microseconds(),
-		Outcome:      t.Outcome,
-		Attempts:     t.Attempts,
-		Retried:      t.Retried,
-		DeadlineMiss: t.DeadlineMiss,
-		Events:       t.Events,
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.finished++
@@ -159,16 +148,32 @@ func (f *FlightRecorder) Finish(t *RequestTrace, outcome string) {
 			f.interesting = f.interesting[1:]
 			f.evictedInteresting++
 		}
-		f.interesting = append(f.interesting, rec)
+		f.interesting = append(f.interesting, f.record(t, false))
 		return
 	}
 	if f.cfg.SampleN > 0 && uint64(t.ID)%uint64(f.cfg.SampleN) == 0 {
-		rec.Sampled = true
 		if len(f.sampled) >= sCap {
 			f.sampled = f.sampled[1:]
 			f.evictedSampled++
 		}
-		f.sampled = append(f.sampled, rec)
+		f.sampled = append(f.sampled, f.record(t, true))
+	}
+}
+
+// record builds the exported form of a retained trace. Finish calls it only
+// for the traces it keeps, so the ID is formatted for those alone.
+func (f *FlightRecorder) record(t *RequestTrace, sampled bool) TraceRecord {
+	return TraceRecord{
+		TraceID:      t.ID.String(),
+		Class:        t.Class,
+		Index:        t.Index,
+		StartUS:      t.Start.Sub(f.epoch).Microseconds(),
+		Outcome:      t.Outcome,
+		Attempts:     t.Attempts,
+		Retried:      t.Retried,
+		DeadlineMiss: t.DeadlineMiss,
+		Sampled:      sampled,
+		Events:       t.Events,
 	}
 }
 

@@ -83,16 +83,23 @@ type RequestTrace struct {
 	Events []TraceEvent
 }
 
+// requestEvents is the event capacity a trace starts with: a request served
+// on its first attempt records eight (generate, admit, dequeue, attempt, the
+// engine's instrument/run/reset spans and the outcome), so only retried or
+// faulted requests grow the slice.
+const requestEvents = 8
+
 // NewRequestTrace starts a trace for the request at the given stream index.
 // The "generate" event is recorded at offset zero.
 func NewRequestTrace(seed, index uint64, class string) *RequestTrace {
 	t := &RequestTrace{
-		ID:    DeriveTraceID(seed, index),
-		Class: class,
-		Index: index,
-		Start: time.Now(),
+		ID:     DeriveTraceID(seed, index),
+		Class:  class,
+		Index:  index,
+		Start:  time.Now(),
+		Events: make([]TraceEvent, 1, requestEvents),
 	}
-	t.Events = append(t.Events, TraceEvent{Kind: "generate"})
+	t.Events[0] = TraceEvent{Kind: "generate"}
 	return t
 }
 

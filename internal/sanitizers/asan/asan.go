@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"cecsan/internal/alloc"
 	"cecsan/internal/mem"
 	"cecsan/internal/rt"
+	"cecsan/internal/shadow"
 )
 
 // Shadow encoding: 0 = addressable, otherwise a poison kind.
@@ -34,13 +34,6 @@ const (
 
 // granule is ASan's 8-byte shadow granularity.
 const granule = 8
-
-// shadowChunkBits carves the shadow into lazily materialized chunks for the
-// RSS model (real ASan maps shadow with MAP_NORESERVE and pays RSS only for
-// touched pages).
-const shadowChunkBits = 16
-
-const shadowChunkSize = 1 << shadowChunkBits
 
 // Options tunes the model.
 type Options struct {
@@ -76,17 +69,12 @@ type Runtime struct {
 	opts Options
 	env  rt.Env
 
-	mu     sync.Mutex
-	shadow []atomic.Pointer[shadowChunk] // lazily materialized shadow chunks
+	// shadow is the lazily materialized 1/8 shadow, one byte per granule
+	// (real ASan maps it with MAP_NORESERVE and pays RSS only for touched
+	// pages).
+	shadow shadow.Map
 
-	// spareMu guards the shadow-chunk recycling state. touchedIdx records
-	// the index of every materialized shadow chunk since the last reset and
-	// spare holds zeroed chunks ResetRuntime reclaimed, so a pooled runtime
-	// re-materializes shadow without fresh 64 KiB allocations and resets in
-	// O(touched) instead of O(span).
-	spareMu    sync.Mutex
-	touchedIdx []uint32
-	spare      []*shadowChunk
+	mu sync.Mutex
 
 	// chunkInfo tracks ASan's allocator metadata per user pointer.
 	chunkInfo map[uint64]asanChunk
@@ -94,12 +82,8 @@ type Runtime struct {
 	quarantine      []asanChunk
 	quarantineBytes int64
 
-	redzoneBytes  int64 // live redzone bytes (heap+stack+globals)
-	shadowTouched atomic.Int64
+	redzoneBytes int64 // live redzone bytes (heap+stack+globals)
 }
-
-// shadowChunk is one lazily materialized shadow region.
-type shadowChunk [shadowChunkSize]byte
 
 // asanChunk records one allocation the runtime manages.
 type asanChunk struct {
@@ -162,33 +146,17 @@ func (r *Runtime) Name() string { return r.opts.Name }
 // keeps its (reset) shadow table across attaches.
 func (r *Runtime) Attach(env *rt.Env) error {
 	r.env = *env
-	if r.shadow == nil {
-		nChunks := (mem.SpanSize / granule) >> shadowChunkBits
-		r.shadow = make([]atomic.Pointer[shadowChunk], nChunks)
-	}
+	r.shadow.Init(mem.SpanSize / granule)
 	return nil
 }
 
 // ResetRuntime implements rt.Resettable: drop every materialized shadow
-// chunk (zeroed and kept for reuse), forget allocator metadata and the
-// quarantine, and zero the overhead gauges — byte-for-byte the state of a
-// freshly constructed runtime with the same options.
+// chunk (zeroing what the run wrote and keeping it for reuse), forget
+// allocator metadata and the quarantine, and zero the overhead gauges —
+// byte-for-byte the state of a freshly constructed runtime with the same
+// options.
 func (r *Runtime) ResetRuntime() {
-	r.spareMu.Lock()
-	idxs := r.touchedIdx
-	r.touchedIdx = r.touchedIdx[:0]
-	r.spareMu.Unlock()
-	for _, ci := range idxs {
-		c := r.shadow[ci].Swap(nil)
-		if c == nil {
-			continue
-		}
-		*c = shadowChunk{}
-		r.spareMu.Lock()
-		r.spare = append(r.spare, c)
-		r.spareMu.Unlock()
-	}
-	r.shadowTouched.Store(0)
+	r.shadow.Reset()
 	r.mu.Lock()
 	clear(r.chunkInfo)
 	r.quarantine = r.quarantine[:0]
@@ -197,65 +165,9 @@ func (r *Runtime) ResetRuntime() {
 	r.mu.Unlock()
 }
 
-// materialize installs a chunk at shadow-chunk index ci, reusing a spare.
-func (r *Runtime) materialize(ci uint64) *shadowChunk {
-	r.spareMu.Lock()
-	var c *shadowChunk
-	if n := len(r.spare); n > 0 {
-		c = r.spare[n-1]
-		r.spare = r.spare[:n-1]
-	} else {
-		c = new(shadowChunk)
-	}
-	r.spareMu.Unlock()
-	if r.shadow[ci].CompareAndSwap(nil, c) {
-		r.shadowTouched.Add(shadowChunkSize)
-		r.spareMu.Lock()
-		r.touchedIdx = append(r.touchedIdx, uint32(ci))
-		r.spareMu.Unlock()
-		return c
-	}
-	r.spareMu.Lock()
-	r.spare = append(r.spare, c)
-	r.spareMu.Unlock()
-	return r.shadow[ci].Load()
-}
-
-// shadowByte returns a pointer to the shadow byte for addr, materializing
-// the chunk. addr must be below mem.SpanSize.
-func (r *Runtime) shadowByte(addr uint64) *byte {
-	s := addr / granule
-	ci := s >> shadowChunkBits
-	c := r.shadow[ci].Load()
-	if c == nil {
-		c = r.materialize(ci)
-	}
-	return &c[s&(shadowChunkSize-1)]
-}
-
-// shadowFill writes val to count consecutive shadow bytes starting at shadow
-// index s0, resolving each shadow chunk once and filling the in-chunk span,
-// instead of a full table lookup per granule.
-func (r *Runtime) shadowFill(s0 uint64, count int64, val byte) {
-	for count > 0 {
-		ci := s0 >> shadowChunkBits
-		c := r.shadow[ci].Load()
-		if c == nil {
-			c = r.materialize(ci)
-		}
-		off := int64(s0 & (shadowChunkSize - 1))
-		n := shadowChunkSize - off
-		if n > count {
-			n = count
-		}
-		seg := c[off : off+n]
-		for i := range seg {
-			seg[i] = val
-		}
-		s0 += uint64(n)
-		count -= n
-	}
-}
+// shadowByte returns the shadow byte for addr, materializing the chunk.
+// addr must be below mem.SpanSize.
+func (r *Runtime) shadowByte(addr uint64) byte { return r.shadow.At(addr / granule) }
 
 // poison marks [addr, addr+n) with the given shadow value (granule-aligned
 // regions only). The shadow bytes of successive granules are consecutive,
@@ -264,7 +176,7 @@ func (r *Runtime) poison(addr uint64, n int64, val byte) {
 	if n <= 0 {
 		return
 	}
-	r.shadowFill(addr/granule, (n+granule-1)/granule, val)
+	r.shadow.Fill(addr/granule, (n+granule-1)/granule, val)
 }
 
 // unpoison marks [addr, addr+n) addressable, including the partial last
@@ -272,10 +184,10 @@ func (r *Runtime) poison(addr uint64, n int64, val byte) {
 func (r *Runtime) unpoison(addr uint64, n int64) {
 	full := n / granule * granule
 	if full > 0 {
-		r.shadowFill(addr/granule, full/granule, shadowOK)
+		r.shadow.Fill(addr/granule, full/granule, shadowOK)
 	}
 	if rem := n - full; rem > 0 {
-		*r.shadowByte(addr + uint64(full)) = byte(rem)
+		r.shadow.Fill((addr+uint64(full))/granule, 1, byte(rem))
 	}
 }
 
@@ -322,7 +234,7 @@ func (r *Runtime) Free(ptr uint64, _ rt.PtrMeta) *rt.Violation {
 		// Not a live chunk base. ASan distinguishes double frees (freed
 		// chunk headers are remembered while quarantined) from frees of
 		// never-allocated pointers.
-		sv := *r.shadowByte(ptr)
+		sv := r.shadowByte(ptr)
 		if sv == shadowHeapFreed {
 			return &rt.Violation{
 				Kind: rt.KindDoubleFree, Ptr: ptr, Addr: ptr, Seg: alloc.SegmentOf(ptr),
@@ -426,7 +338,7 @@ func (r *Runtime) Check(ptr uint64, _ rt.PtrMeta, off, size int64, k rt.AccessKi
 		if hi > granule {
 			hi = granule
 		}
-		sv := *r.shadowByte(gbase)
+		sv := r.shadowByte(gbase)
 		if sv != shadowOK {
 			if sv >= granule || hi > uint64(sv) {
 				return r.reportShadow(ptr, a, size, k, sv)
@@ -510,5 +422,5 @@ func (r *Runtime) StorePtrMeta(uint64, rt.PtrMeta) {}
 func (r *Runtime) OverheadBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.shadowTouched.Load() + r.redzoneBytes + r.quarantineBytes
+	return r.shadow.TouchedBytes() + r.redzoneBytes + r.quarantineBytes
 }

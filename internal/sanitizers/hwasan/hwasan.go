@@ -17,11 +17,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"cecsan/internal/alloc"
 	"cecsan/internal/mem"
 	"cecsan/internal/rt"
+	"cecsan/internal/shadow"
 )
 
 // tagGranule is the MTE tagging granularity.
@@ -30,28 +30,17 @@ const tagGranule = 16
 // tagShift places the tag in the pointer's top byte.
 const tagShift = 56
 
-const tagChunkBits = 16
-const tagChunkSize = 1 << tagChunkBits
-
-type tagChunk [tagChunkSize]byte
-
 // Runtime is the HWASan model (rt.Runtime implementation).
 type Runtime struct {
 	env rt.Env
 
-	tags        []atomic.Pointer[tagChunk]
-	tagsTouched atomic.Int64
+	// tags is the lazily materialized memory-tag shadow, one byte per
+	// granule.
+	tags shadow.Map
 
 	mu   sync.Mutex
 	rng  uint64
 	seed uint64 // constructor seed; ResetRuntime rewinds rng to it
-
-	// spareMu guards tag-chunk recycling: touchedIdx records materialized
-	// chunk indices since the last reset, spare holds zeroed chunks
-	// ResetRuntime reclaimed for reuse.
-	spareMu    sync.Mutex
-	touchedIdx []uint32
-	spare      []*tagChunk
 
 	// chunkSize remembers allocation sizes for retag-on-free.
 	chunkSize map[uint64]int64
@@ -99,60 +88,20 @@ func (r *Runtime) Name() string { return "HWASan" }
 // table across attaches.
 func (r *Runtime) Attach(env *rt.Env) error {
 	r.env = *env
-	if r.tags == nil {
-		r.tags = make([]atomic.Pointer[tagChunk], (mem.SpanSize/tagGranule)>>tagChunkBits)
-	}
+	r.tags.Init(mem.SpanSize / tagGranule)
 	return nil
 }
 
 // ResetRuntime implements rt.Resettable: drop every materialized tag chunk
-// (zeroed and kept for reuse), forget allocation sizes, and rewind the tag
-// RNG to the constructor seed — byte-for-byte the state New(seed) returns,
-// including the deterministic tag stream.
+// (zeroing what the run wrote and keeping it for reuse), forget allocation
+// sizes, and rewind the tag RNG to the constructor seed — byte-for-byte the
+// state New(seed) returns, including the deterministic tag stream.
 func (r *Runtime) ResetRuntime() {
-	r.spareMu.Lock()
-	idxs := r.touchedIdx
-	r.touchedIdx = r.touchedIdx[:0]
-	r.spareMu.Unlock()
-	for _, ci := range idxs {
-		c := r.tags[ci].Swap(nil)
-		if c == nil {
-			continue
-		}
-		*c = tagChunk{}
-		r.spareMu.Lock()
-		r.spare = append(r.spare, c)
-		r.spareMu.Unlock()
-	}
-	r.tagsTouched.Store(0)
+	r.tags.Reset()
 	r.mu.Lock()
 	r.rng = r.seed
 	clear(r.chunkSize)
 	r.mu.Unlock()
-}
-
-// materialize installs a tag chunk at index ci, reusing a spare.
-func (r *Runtime) materialize(ci uint64) *tagChunk {
-	r.spareMu.Lock()
-	var c *tagChunk
-	if n := len(r.spare); n > 0 {
-		c = r.spare[n-1]
-		r.spare = r.spare[:n-1]
-	} else {
-		c = new(tagChunk)
-	}
-	r.spareMu.Unlock()
-	if r.tags[ci].CompareAndSwap(nil, c) {
-		r.tagsTouched.Add(tagChunkSize)
-		r.spareMu.Lock()
-		r.touchedIdx = append(r.touchedIdx, uint32(ci))
-		r.spareMu.Unlock()
-		return c
-	}
-	r.spareMu.Lock()
-	r.spare = append(r.spare, c)
-	r.spareMu.Unlock()
-	return r.tags[ci].Load()
 }
 
 // nextTag draws a uniformly random non-zero 8-bit tag.
@@ -168,44 +117,13 @@ func (r *Runtime) nextTag() byte {
 	}
 }
 
-// tagByte returns a pointer to the memory tag of the granule holding addr.
-func (r *Runtime) tagByte(addr uint64) *byte {
-	g := addr / tagGranule
-	ci := g >> tagChunkBits
-	c := r.tags[ci].Load()
-	if c == nil {
-		c = r.materialize(ci)
-	}
-	return &c[g&(tagChunkSize-1)]
-}
+// tagByte returns the memory tag of the granule holding addr.
+func (r *Runtime) tagByte(addr uint64) byte { return r.tags.At(addr / tagGranule) }
 
 // setTags tags the granules covering [addr, addr+size). The tag bytes of
-// successive granules are consecutive, so the region is one contiguous fill
-// resolving each tag chunk once.
+// successive granules are consecutive, so the region is one contiguous fill.
 func (r *Runtime) setTags(addr uint64, size int64, tag byte) {
-	if size <= 0 {
-		return
-	}
-	g := addr / tagGranule
-	count := (size + tagGranule - 1) / tagGranule
-	for count > 0 {
-		ci := g >> tagChunkBits
-		c := r.tags[ci].Load()
-		if c == nil {
-			c = r.materialize(ci)
-		}
-		off := int64(g & (tagChunkSize - 1))
-		n := tagChunkSize - off
-		if n > count {
-			n = count
-		}
-		seg := c[off : off+n]
-		for i := range seg {
-			seg[i] = tag
-		}
-		g += uint64(n)
-		count -= n
-	}
+	r.tags.Fill(addr/tagGranule, (size+tagGranule-1)/tagGranule, tag)
 }
 
 // tagOf extracts a pointer's tag.
@@ -245,7 +163,7 @@ func (r *Runtime) Free(ptr uint64, _ rt.PtrMeta) *rt.Violation {
 	raw := strip(ptr)
 	ptag := tagOf(ptr)
 	if ptag != 0 {
-		mtag := *r.tagByte(raw)
+		mtag := r.tagByte(raw)
 		if mtag != ptag {
 			return &rt.Violation{
 				Kind: rt.KindDoubleFree, Ptr: ptr, Addr: raw, Seg: alloc.SegmentOf(raw),
@@ -314,7 +232,7 @@ func (r *Runtime) Check(ptr uint64, _ rt.PtrMeta, off, size int64, k rt.AccessKi
 	}
 	end := addr + uint64(size)
 	for a := addr; a < end; a = (a &^ (tagGranule - 1)) + tagGranule {
-		if mtag := *r.tagByte(a); mtag != ptag {
+		if mtag := r.tagByte(a); mtag != ptag {
 			v := &rt.Violation{Ptr: ptr, Addr: a, Size: size, Seg: alloc.SegmentOf(a)}
 			if k == rt.Write {
 				v.Kind = rt.KindOOBWrite
@@ -380,4 +298,4 @@ func (r *Runtime) StorePtrMeta(uint64, rt.PtrMeta) {}
 
 // OverheadBytes implements rt.Runtime: the touched tag shadow (1/16 of
 // touched memory) — HWASan's low-memory selling point.
-func (r *Runtime) OverheadBytes() int64 { return r.tagsTouched.Load() }
+func (r *Runtime) OverheadBytes() int64 { return r.tags.TouchedBytes() }

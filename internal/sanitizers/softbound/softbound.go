@@ -14,6 +14,7 @@ package softbound
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -30,8 +31,13 @@ type Runtime struct {
 	// shadow maps a memory address holding a pointer to that pointer's
 	// metadata (SoftBound's disjoint metadata space).
 	shadow map[uint64]rt.PtrMeta
-	// locks is the CETS lock space; freed locks are reused.
+	// locks is the CETS lock space; freed locks are reused. cells holds
+	// every lock cell the runtime has made and usedCells how many of them
+	// this run has handed out, so a reset runtime hands the same cells out
+	// again instead of allocating new ones.
 	freeLocks []*uint64
+	cells     []*uint64
+	usedCells int
 	liveLocks int64
 
 	shadowPeak int64
@@ -54,7 +60,8 @@ func (r *Runtime) ResetRuntime() {
 	r.mu.Lock()
 	r.nextKey = 1
 	clear(r.shadow)
-	r.freeLocks = nil
+	r.freeLocks = r.freeLocks[:0]
+	r.usedCells = 0
 	r.liveLocks = 0
 	r.shadowPeak = 0
 	r.mu.Unlock()
@@ -94,11 +101,17 @@ func (r *Runtime) newLock(key uint64) *uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var l *uint64
-	if n := len(r.freeLocks); n > 0 {
+	switch n := len(r.freeLocks); {
+	case n > 0:
 		l = r.freeLocks[n-1]
 		r.freeLocks = r.freeLocks[:n-1]
-	} else {
+	case r.usedCells < len(r.cells):
+		l = r.cells[r.usedCells]
+		r.usedCells++
+	default:
 		l = new(uint64)
+		r.cells = append(r.cells, l)
+		r.usedCells++
 	}
 	*l = key
 	r.liveLocks++
@@ -199,7 +212,7 @@ func (r *Runtime) Check(ptr uint64, meta rt.PtrMeta, off, size int64, k rt.Acces
 	if addr < meta.Base || addr+uint64(size) > meta.Bound {
 		v := &rt.Violation{
 			Ptr: ptr, Addr: addr, Size: size, Seg: alloc.SegmentOf(addr),
-			Detail: fmt.Sprintf("outside [%#x, %#x)", meta.Base, meta.Bound),
+			Detail: outsideDetail(meta.Base, meta.Bound),
 		}
 		if k == rt.Write {
 			v.Kind = rt.KindOOBWrite
@@ -209,6 +222,18 @@ func (r *Runtime) Check(ptr uint64, meta rt.PtrMeta, off, size int64, k rt.Acces
 		return v
 	}
 	return nil
+}
+
+// outsideDetail formats a spatial report's bounds as
+// fmt.Sprintf("outside [%#x, %#x)", base, bound) does, without boxing the
+// bounds.
+func outsideDetail(base, bound uint64) string {
+	var buf [48]byte
+	b := append(buf[:0], "outside [0x"...)
+	b = strconv.AppendUint(b, base, 16)
+	b = append(b, ", 0x"...)
+	b = strconv.AppendUint(b, bound, 16)
+	return string(append(b, ')'))
 }
 
 // Addr implements rt.Runtime: plain pointers.

@@ -1,6 +1,7 @@
 package softbound
 
 import (
+	"fmt"
 	"testing"
 
 	"cecsan/internal/alloc"
@@ -139,5 +140,13 @@ func TestOverheadCountsShadowAndLocks(t *testing.T) {
 	r.StorePtrMeta(0x7000, meta)
 	if got := r.OverheadBytes(); got < 32+8 {
 		t.Fatalf("OverheadBytes = %d, want >= 40", got)
+	}
+}
+
+func TestOutsideDetailMatchesSprintf(t *testing.T) {
+	for _, c := range [][2]uint64{{0, 0}, {0x10000000, 0x10000010}, {1<<63 + 5, ^uint64(0)}} {
+		if got, want := outsideDetail(c[0], c[1]), fmt.Sprintf("outside [%#x, %#x)", c[0], c[1]); got != want {
+			t.Errorf("outsideDetail(%#x, %#x) = %q, want %q", c[0], c[1], got, want)
+		}
 	}
 }
